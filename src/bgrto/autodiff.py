@@ -178,9 +178,6 @@ class GradientTape:
         """The tape's output: the most recently recorded operation."""
         return self._ops[-1] if self._ops else None
 
-    def leaf_names(self) -> list[str]:
-        return sorted(self._leaves)
-
     def _record(self, tensor: Tensor) -> Tensor:
         self._ops.append(tensor)
         return tensor

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import models, rng
+from . import models, objectives, rng
 from .autodiff import UsageError
 from .checkpoint import (
     CheckpointFormatError,
@@ -71,11 +71,13 @@ class WorkdirLock:
 def _load_config(args) -> RunConfig:
     data = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError([f"config {args.config} is not valid JSON: {exc}"]) from exc
+        except OSError as exc:
+            raise ConfigError([f"cannot read config {args.config}: {exc}"]) from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"config {args.config} is not valid JSON: {exc}"]) from exc
     if args.set:
         data = apply_overrides(data, args.set)
     return from_dict(data)
@@ -224,8 +226,9 @@ def _cmd_eval(args) -> int:
         generate_scene(rng.derive_seed(rc.seed, "eval-scene", i), domain, rc.env)
         for i in range(count)
     ]
-    filter_enabled = ckpt.metadata.get("mode") != "grto_no_filter"
-    report = metricsmod.evaluate(policy, tool, scenes, grammar, filter_enabled, rc.train.threshold)
+    prompts = models.greedy_prompts(policy, scenes, grammar)
+    scoring = objectives.scoring_for(rc.train, ckpt.metadata.get("mode"))
+    report = metricsmod.evaluate(tool, scenes, prompts, scoring)
     print(json.dumps(report.to_json_dict()))
     return 0
 

@@ -256,17 +256,6 @@ def to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def parse_config(path: str) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
-    return from_dict(data)
-
-
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply --set key.path=value pairs onto a raw config dict."""
     problems = []

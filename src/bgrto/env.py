@@ -91,12 +91,6 @@ def env_config_hash(cfg: EnvConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def instruction_word(cfg: EnvConfig, token: int) -> str:
-    if token < len(_BASE_WORDS):
-        return _BASE_WORDS[token]
-    return f"color{token - len(_BASE_WORDS)}"
-
-
 @dataclass(frozen=True)
 class SceneObject:
     rect: tuple[int, int, int, int]  # (x1, y1, x2, y2), inclusive cell bounds

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, objectives
+from . import objectives
 from .autodiff import NamedParams
-from .env import ActionGrammar, GridScene, parse_action_tokens
+from .env import GridScene, ToolPrompt
 
 CSV_COLUMNS = (
     "step",
@@ -56,16 +57,14 @@ class EvalReport:
 
 
 def evaluate(
-    policy: NamedParams,
     tool: NamedParams,
     scenes: list[GridScene],
-    grammar: ActionGrammar,
-    filter_enabled: bool = True,
-    threshold: float = 0.5,
-    iou_weight: float = objectives.REWARD_IOU_WEIGHT,
-    format_weight: float = objectives.REWARD_FORMAT_WEIGHT,
+    prompts: Iterable[ToolPrompt | None],
+    scoring: objectives.Scoring,
 ) -> EvalReport:
-    """Greedy-decode every scene and score the resulting masks.
+    """Score each scene's prompt (None when it did not parse) under `scoring`.
+
+    `prompts` holds one prompt per scene, in order; it may be a generator.
 
     Invalid prompts contribute IoU 0 (an empty prediction).  gIoU is the mean
     of per-sample IoUs; cIoU is cumulative intersection over cumulative union,
@@ -78,20 +77,17 @@ def evaluate(
     union_sum = 0
     rewards = []
     valid_count = 0
-    for scene in scenes:
-        tokens = models.greedy_decode(policy, scene, grammar)
-        prompt = parse_action_tokens(tokens, grammar)
-        gt = scene.official_gt
-        if prompt is None:
-            rewards.append(0.0)
+    for scene, prompt in zip(scenes, prompts, strict=True):
+        (mask,), (reward,) = objectives.compute_reward(tool, scene, [prompt], scoring)
+        rewards.append(reward.total)
+        gt = scene.official_gt.astype(bool)
+        if mask is None:
             inter = 0
             union = int(np.count_nonzero(gt))
         else:
             valid_count += 1
-            mask = objectives.predicted_mask(tool, scene, prompt, filter_enabled, threshold)
-            rewards.append(objectives.reward_for_mask(mask, gt, iou_weight, format_weight).total)
-            inter = int(np.count_nonzero(mask & gt.astype(bool)))
-            union = int(np.count_nonzero(mask | gt.astype(bool)))
+            inter = int(np.count_nonzero(mask & gt))
+            union = int(np.count_nonzero(mask | gt))
         if union == 0:
             ious.append(1.0)  # both empty: perfect by convention, excluded from cIoU
             continue

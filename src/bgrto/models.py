@@ -12,6 +12,7 @@ requires.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from . import autodiff as ad
 from . import env as envmod
 from .autodiff import GradientTape, NamedParams, Tensor
 from .env import ActionGrammar, EnvConfig, GridScene, ToolPrompt
+from .optim import OptimizerState, adamw_init, adamw_step, clip_global_norm, global_norm
 
 
 class WarmupFailure(RuntimeError):
@@ -123,14 +125,6 @@ def _step_logits_nodes(
     h2 = ad.relu(ad.add(ad.matmul(h1, w2), ad.broadcast(b2, (1, hidden))))
     logits = ad.add(ad.matmul(h2, hw), ad.broadcast(hb, (1, hb.dims[0])))
     return ad.reshape(logits, (hb.dims[0],))
-
-
-def policy_step_logits(
-    params: NamedParams, scene: GridScene, grammar: ActionGrammar, tokens, step: int
-) -> np.ndarray:
-    """Raw logits for one step (test/diagnostic surface)."""
-    tape = GradientTape()
-    return _step_logits_nodes(tape, params, scene, tokens, step, grammar).data.copy()
 
 
 def policy_step_logprobs(
@@ -239,6 +233,18 @@ def greedy_decode(params: NamedParams, scene: GridScene, grammar: ActionGrammar)
         logits = _step_logits_nodes(tape, params, scene, tokens, t, grammar)
         tokens.append(int(np.argmax(logits.data)))
     return tokens
+
+
+def greedy_prompts(
+    params: NamedParams, scenes: list[GridScene], grammar: ActionGrammar
+) -> Iterator[ToolPrompt | None]:
+    """Each scene's greedy decode, parsed (None where it does not parse).
+
+    Decodes lazily, so a consumer that scores each prompt as it arrives never
+    holds every decode's temporaries at once; take a list to reuse them.
+    """
+    for scene in scenes:
+        yield envmod.parse_action_tokens(greedy_decode(params, scene, grammar), grammar)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +374,30 @@ def true_prompt(scene: GridScene) -> ToolPrompt:
 # ---------------------------------------------------------------------------
 
 
+def descent_step(
+    params: NamedParams,
+    grads: NamedParams,
+    state: OptimizerState,
+    lr: float,
+    clip_norm: float | None = None,
+) -> tuple[NamedParams, OptimizerState, float | None]:
+    """One AdamW step of `params` down their entries of `grads`.
+
+    `grads` is what `backward` returned for a loss to minimize; entries of
+    other parameters on the same tape are ignored.  With `clip_norm`, the
+    gradients are clipped to that global norm first.  Returns the new
+    parameters and state, and the global norm before clipping (None when
+    not clipping).
+    """
+    own = NamedParams((name, g) for name, g in grads.items() if name in params)
+    norm = None
+    if clip_norm is not None:
+        norm = global_norm(own)
+        own = clip_global_norm(own, clip_norm)
+    params, state = adamw_step(params, own, state, lr)
+    return params, state, norm
+
+
 def pretrain_tool(
     params: NamedParams,
     scenes: list[GridScene],
@@ -376,11 +406,10 @@ def pretrain_tool(
 ) -> NamedParams:
     """Fit the tool to the source convention with oracle prompts.
 
-    One AdamW step per (scene, true prompt) pair against the full-rectangle
-    labels.  Zero epochs returns the parameters unchanged.
+    One unclipped AdamW step per (scene, true prompt) pair against the
+    full-rectangle labels.  Zero epochs returns the parameters unchanged.
     """
     from . import objectives
-    from .optim import adamw_init, adamw_step
 
     if epochs == 0:
         return params
@@ -388,10 +417,9 @@ def pretrain_tool(
     for _epoch in range(epochs):
         for scene in scenes:
             tape = GradientTape()
-            logits = tool_forward_nodes(tape, params, scene, true_prompt(scene))
-            objectives.seg_loss_nodes(logits, scene.gt_mask_source)
-            grads = ad.backward(tape)
-            params, state = adamw_step(params, grads, state, lr)
+            objectives.prompt_seg_losses(tape, params, scene, [true_prompt(scene)],
+                                         scene.gt_mask_source)
+            params, state, _ = descent_step(params, ad.backward(tape), state, lr)
     return params
 
 
@@ -434,8 +462,6 @@ def warmup_policy(
     Raises WarmupFailure when the post-warmup validity rate at temperature 1
     stays below the floor; rerun with a larger epoch or demo budget.
     """
-    from .optim import adamw_init, adamw_step
-
     history: list[float] = []
     if epochs > 0:
         state = adamw_init(params)

@@ -83,50 +83,65 @@ def spatial_filter(mask: np.ndarray, boxes) -> np.ndarray:
     return mask.astype(bool) & boxes_mask(mask.shape[0], mask.shape[1], boxes)
 
 
-def predicted_mask(
-    tool: NamedParams,
-    scene: GridScene,
-    prompt: ToolPrompt,
-    filter_enabled: bool,
-    threshold: float,
-) -> np.ndarray:
-    """Thresholded (and optionally box-filtered) binary mask for a valid prompt."""
-    if not 0.0 < threshold < 1.0:
-        raise ObjectiveUsageError("threshold must lie in (0, 1)")
-    logits = models.tool_logits(tool, scene, prompt)
-    # sigmoid(logit) > threshold  <=>  logit > logit(threshold); exact and stable
-    mask = logits > np.log(threshold / (1.0 - threshold))
-    if filter_enabled:
-        mask = spatial_filter(mask, prompt.boxes)
-    return mask
+@dataclass(frozen=True)
+class Scoring:
+    """How a prompt's mask is cut and scored: one value per run and mode."""
+
+    filter_enabled: bool = True
+    threshold: float = 0.5
+    iou_weight: float = REWARD_IOU_WEIGHT
+    format_weight: float = REWARD_FORMAT_WEIGHT
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ObjectiveUsageError("threshold must lie in (0, 1)")
 
 
-def reward_for_mask(
-    mask: np.ndarray,
-    official_gt: np.ndarray,
-    iou_weight: float = REWARD_IOU_WEIGHT,
-    format_weight: float = REWARD_FORMAT_WEIGHT,
-) -> RewardBreakdown:
-    """Reward of a valid rollout given its final predicted mask."""
-    r_iou = mask_iou(mask, official_gt)
-    total = iou_weight * r_iou + format_weight * 1.0
-    return RewardBreakdown(r_iou=r_iou, r_format=1.0, total=total)
+def scoring_for(train, mode: str | None) -> Scoring:
+    """The scoring convention of a train config section under a run mode."""
+    return Scoring(
+        filter_enabled=mode != "grto_no_filter",
+        threshold=train.threshold,
+        iou_weight=train.reward_iou_weight,
+        format_weight=train.reward_format_weight,
+    )
 
 
 def compute_reward(
-    scene: GridScene,
-    prompt: ToolPrompt | None,
     tool: NamedParams,
-    filter_enabled: bool = True,
-    threshold: float = 0.5,
-    iou_weight: float = REWARD_IOU_WEIGHT,
-    format_weight: float = REWARD_FORMAT_WEIGHT,
-) -> RewardBreakdown:
-    """Reward of one rollout under the scene's official annotation convention."""
-    if prompt is None:
-        return RewardBreakdown.invalid()
-    mask = predicted_mask(tool, scene, prompt, filter_enabled, threshold)
-    return reward_for_mask(mask, scene.official_gt, iou_weight, format_weight)
+    scene: GridScene,
+    prompts: list[ToolPrompt | None],
+    scoring: Scoring,
+    logits: dict[int, np.ndarray] | None = None,
+) -> tuple[list[np.ndarray | None], list[RewardBreakdown]]:
+    """Final masks and rewards of prompts on one scene (None marks an invalid prompt).
+
+    The tool runs once per distinct concept; `logits` may carry values already
+    computed under the same tool, keyed by concept index.  A valid prompt's
+    mask is the thresholded logits, box-filtered when the convention says so;
+    an invalid prompt gets no mask and a zero reward.
+    """
+    logits = {} if logits is None else dict(logits)
+    # sigmoid(logit) > threshold  <=>  logit > logit(threshold); exact and stable
+    cut = np.log(scoring.threshold / (1.0 - scoring.threshold))
+    masks: list[np.ndarray | None] = []
+    rewards: list[RewardBreakdown] = []
+    for prompt in prompts:
+        if prompt is None:
+            masks.append(None)
+            rewards.append(RewardBreakdown.invalid())
+            continue
+        key = models.concept_index(prompt.color, prompt.size)
+        if key not in logits:
+            logits[key] = models.tool_logits(tool, scene, prompt)
+        mask = logits[key] > cut
+        if scoring.filter_enabled:
+            mask = spatial_filter(mask, prompt.boxes)
+        r_iou = mask_iou(mask, scene.official_gt)
+        total = scoring.iou_weight * r_iou + scoring.format_weight * 1.0
+        masks.append(mask)
+        rewards.append(RewardBreakdown(r_iou=r_iou, r_format=1.0, total=total))
+    return masks, rewards
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +167,35 @@ def seg_loss_nodes(logits: Tensor, gt: np.ndarray) -> Tensor:
     denom = ad.sum_reduce(ad.sub(ad.add(soft, m), soft_inter))
     soft_iou_loss = ad.sub(1.0, ad.div(numer, denom))
     return ad.add(bce, soft_iou_loss)
+
+
+def prompt_seg_losses(
+    tape: GradientTape,
+    tool: NamedParams,
+    scene: GridScene,
+    prompts: list[ToolPrompt | None],
+    gt: np.ndarray,
+) -> tuple[list[Tensor | None], dict[int, np.ndarray]]:
+    """Seg-loss node of each prompt against `gt` (None for an invalid prompt).
+
+    Prompts naming the same concept share one tape forward and one loss node.
+    Also returns those forwards' logit values by concept index, which
+    `compute_reward` accepts in place of running the tool again.
+    """
+    by_concept: dict[int, Tensor] = {}
+    logits: dict[int, np.ndarray] = {}
+    losses: list[Tensor | None] = []
+    for prompt in prompts:
+        if prompt is None:
+            losses.append(None)
+            continue
+        key = models.concept_index(prompt.color, prompt.size)
+        if key not in by_concept:
+            node = models.tool_forward_nodes(tape, tool, scene, prompt)
+            logits[key] = node.data
+            by_concept[key] = seg_loss_nodes(node, gt)
+        losses.append(by_concept[key])
+    return losses, logits
 
 
 def seg_loss(logits: np.ndarray, gt: np.ndarray) -> float:

@@ -46,8 +46,7 @@ def enumerate_space(
     tool: NamedParams,
     scene: GridScene,
     grammar: ActionGrammar,
-    filter_enabled: bool = True,
-    threshold: float = 0.5,
+    scoring: objectives.Scoring = objectives.Scoring(),
 ) -> EnumeratedSpace:
     """Exhaustive sequence list with exact probabilities and rewards."""
     total = int(np.prod(grammar.step_sizes, dtype=np.int64))
@@ -75,18 +74,8 @@ def enumerate_space(
         logps.append(lp)
     probs = np.exp(np.array(logps))
     prompts = [parse_action_tokens(list(seq), grammar) for seq in sequences]
-    rewards = np.zeros(len(sequences))
-    logits_cache: dict[int, np.ndarray] = {}
-    for i, prompt in enumerate(prompts):
-        if prompt is None:
-            continue
-        key = models.concept_index(prompt.color, prompt.size)
-        if key not in logits_cache:
-            logits_cache[key] = models.tool_logits(tool, scene, prompt)
-        mask = logits_cache[key] > np.log(threshold / (1.0 - threshold))
-        if filter_enabled:
-            mask = objectives.spatial_filter(mask, prompt.boxes)
-        rewards[i] = objectives.reward_for_mask(mask, scene.official_gt).total
+    _, breakdowns = objectives.compute_reward(tool, scene, prompts, scoring)
+    rewards = np.array([r.total for r in breakdowns])
     return EnumeratedSpace(
         sequences=sequences, probs=probs, rewards=rewards, prompts=prompts, scene=scene, grammar=grammar
     )
@@ -145,8 +134,7 @@ def sequence_seg_loss_grads(
         key = models.concept_index(prompt.color, prompt.size)
         if key not in by_concept:
             tape = GradientTape()
-            logits = models.tool_forward_nodes(tape, tool, space.scene, prompt)
-            objectives.seg_loss_nodes(logits, space.scene.official_gt)
+            objectives.prompt_seg_losses(tape, tool, space.scene, [prompt], space.scene.official_gt)
             by_concept[key] = ad.backward(tape)
         out.append(by_concept[key])
     return out
@@ -184,23 +172,16 @@ def exact_bto_gradient(space: EnumeratedSpace, tool: NamedParams, beta: float) -
 def bto_group_gradient(
     space: EnumeratedSpace, tool: NamedParams, beta: float, indices
 ) -> NamedParams:
-    """Gradient of the bootstrap objective on one sampled group, via the tape."""
+    """Gradient of the bootstrap objective on one sampled group, via the tape.
+
+    The graph is the one the bootstrap stage differentiates: shared per-concept
+    seg losses weighted by the softmax tilt of the group's rewards.
+    """
     tape = GradientTape()
-    by_concept: dict[int, ad.Tensor] = {}
-    seg_losses = []
-    rewards = []
-    for idx in indices:
-        prompt = space.prompts[idx]
-        rewards.append(space.rewards[idx])
-        if prompt is None:
-            seg_losses.append(None)
-            continue
-        key = models.concept_index(prompt.color, prompt.size)
-        if key not in by_concept:
-            logits = models.tool_forward_nodes(tape, tool, space.scene, prompt)
-            by_concept[key] = objectives.seg_loss_nodes(logits, space.scene.official_gt)
-        seg_losses.append(by_concept[key])
-    weights = objectives.bto_weights(rewards, beta)
+    prompts = [space.prompts[idx] for idx in indices]
+    seg_losses, _ = objectives.prompt_seg_losses(tape, tool, space.scene, prompts,
+                                                 space.scene.official_gt)
+    weights = objectives.bto_weights([space.rewards[idx] for idx in indices], beta)
     objectives.bto_objective_nodes(tape, weights, seg_losses)
     return ad.backward(tape)
 

@@ -26,7 +26,7 @@ from .env import (
     generate_scene,
     parse_action_tokens,
 )
-from .objectives import AdvantageSet, BtoWeights, RewardBreakdown
+from .objectives import AdvantageSet, BtoWeights, RewardBreakdown, Scoring
 
 BUFFER_VERSION = 1
 
@@ -76,31 +76,25 @@ def sample_group(
     group_size: int,
     rngs,
     grammar: ActionGrammar,
+    scoring: Scoring,
     temperature: float = 1.0,
-    filter_enabled: bool = True,
-    threshold: float = 0.5,
-    iou_weight: float = objectives.REWARD_IOU_WEIGHT,
-    format_weight: float = objectives.REWARD_FORMAT_WEIGHT,
 ) -> Group:
     """Sample G rollouts on one scene, score them, and fill group advantages."""
     seqs = models.policy_sample(policy, scene, group_size, temperature, rngs, grammar)
-    rollouts = []
-    for seq in seqs:
-        prompt = parse_action_tokens(seq.tokens, grammar)
-        reward = objectives.compute_reward(scene, prompt, tool, filter_enabled, threshold,
-                                           iou_weight, format_weight)
-        lp_ref = models.policy_logprobs(policy_ref, scene, seq.tokens, grammar)
-        rollouts.append(
-            Rollout(
-                tokens=seq.tokens,
-                lp_old=seq.logprobs,
-                lp_ref=lp_ref,
-                valid=prompt is not None,
-                prompt=prompt,
-                reward=reward,
-            )
+    prompts = [parse_action_tokens(seq.tokens, grammar) for seq in seqs]
+    _, rewards = objectives.compute_reward(tool, scene, prompts, scoring)
+    rollouts = [
+        Rollout(
+            tokens=seq.tokens,
+            lp_old=seq.logprobs,
+            lp_ref=models.policy_logprobs(policy_ref, scene, seq.tokens, grammar),
+            valid=prompt is not None,
+            prompt=prompt,
+            reward=reward,
         )
-    advantages = objectives.compute_advantages([r.reward.total for r in rollouts])
+        for seq, prompt, reward in zip(seqs, prompts, rewards)
+    ]
+    advantages = objectives.compute_advantages([r.total for r in rewards])
     return Group(
         scene_seed=scene.seed,
         domain=scene.domain,

@@ -24,14 +24,13 @@ from .autodiff import GradientTape, NamedParams
 from .checkpoint import (
     load_checkpoint,
     merge_params,
-    params_digest,
     save_checkpoint,
     split_params,
 )
 from .config import BOOTSTRAPPED_MODES, RunConfig, compat_hash
 from .env import env_config_hash, generate_scene, grammar_for, parse_action_tokens
 from .metrics import EvalReport, MetricsWriter
-from .optim import OptimizerState, adamw_init, adamw_step, clip_global_norm, global_norm
+from .optim import OptimizerState, adamw_init
 from .rollout import Group, ReplayBuffer, load_buffer, sample_group
 
 RATIO_TOLERANCE = 1e-12
@@ -113,24 +112,10 @@ def _policy_objective(tape, policy, scene, group: Group, tc, grammar):
     return lp_cur, objective, kl_value
 
 
-def _tool_losses_for_group(tape, tool, scene, group: Group):
-    """Per-rollout seg-loss nodes; rollouts sharing a concept share the forward."""
-    by_concept: dict[int, ad.Tensor] = {}
-    losses: list[ad.Tensor | None] = []
-    for roll in group.rollouts:
-        if not roll.valid:
-            losses.append(None)
-            continue
-        key = models.concept_index(roll.prompt.color, roll.prompt.size)
-        if key not in by_concept:
-            logits = models.tool_forward_nodes(tape, tool, scene, roll.prompt)
-            by_concept[key] = objectives.seg_loss_nodes(logits, scene.official_gt)
-        losses.append(by_concept[key])
-    return losses
-
-
-def _descent_grads(grads: NamedParams, prefix: str) -> NamedParams:
-    return NamedParams((name, -arr) for name, arr in grads.items() if name.startswith(prefix))
+def _group_seg_losses(tape, tool, scene, group: Group):
+    return objectives.prompt_seg_losses(
+        tape, tool, scene, [r.prompt for r in group.rollouts], scene.official_gt
+    )
 
 
 def train_step_grpo(
@@ -150,11 +135,10 @@ def train_step_grpo(
         total = objective if total is None else ad.add(total, objective)
     total = ad.mul(total, 1.0 / len(batch))
     stats = StepStats(policy_obj=total.item(), kl=float(np.mean(kl_values)))
-    grads = ad.backward(tape)
-    desc = _descent_grads(grads, "policy/")
-    stats.grad_norm_policy = global_norm(desc)
-    desc = clip_global_norm(desc, tc.grad_clip_norm)
-    policy, opt_policy = adamw_step(policy, desc, opt_policy, tc.lr_policy)
+    ad.neg(total)  # the tape's result: backward then yields descent gradients
+    policy, opt_policy, stats.grad_norm_policy = models.descent_step(
+        policy, ad.backward(tape), opt_policy, tc.lr_policy, tc.grad_clip_norm
+    )
     return policy, opt_policy, stats
 
 
@@ -182,7 +166,7 @@ def train_step_grto(
     for scene, group in batch:
         lp_cur, objective, kl_value = _policy_objective(tape, policy, scene, group, tc, grammar)
         kl_values.append(kl_value)
-        seg_losses = _tool_losses_for_group(tape, tool, scene, group)
+        seg_losses, _ = _group_seg_losses(tape, tool, scene, group)
         tool_term = objectives.grto_tool_term_nodes(
             tape, lp_cur, [r.lp_old for r in group.rollouts], seg_losses
         )
@@ -195,17 +179,16 @@ def train_step_grto(
         tool_loss=float(np.mean(tool_loss_values)),
         kl=float(np.mean(kl_values)),
     )
+    ad.neg(total)  # the tape's result: backward then yields descent gradients
     grads = ad.backward(tape)
     if tc.debug_checks:
         _debug_separation_checks(batch, policy, tool, tc, grammar)
-    desc_policy = _descent_grads(grads, "policy/")
-    desc_tool = _descent_grads(grads, "tool/")
-    stats.grad_norm_policy = global_norm(desc_policy)
-    stats.grad_norm_tool = global_norm(desc_tool)
-    desc_policy = clip_global_norm(desc_policy, tc.grad_clip_norm)
-    desc_tool = clip_global_norm(desc_tool, tc.grad_clip_norm)
-    policy, opt_policy = adamw_step(policy, desc_policy, opt_policy, tc.lr_policy)
-    tool, opt_tool = adamw_step(tool, desc_tool, opt_tool, lr_tool)
+    policy, opt_policy, stats.grad_norm_policy = models.descent_step(
+        policy, grads, opt_policy, tc.lr_policy, tc.grad_clip_norm
+    )
+    tool, opt_tool, stats.grad_norm_tool = models.descent_step(
+        tool, grads, opt_tool, lr_tool, tc.grad_clip_norm
+    )
     return policy, tool, opt_policy, opt_tool, stats
 
 
@@ -219,7 +202,7 @@ def _debug_separation_checks(batch, policy, tool, tc, grammar) -> None:
             models.policy_logprob_nodes(tool_tape, policy, scene, r.tokens, grammar)
             for r in group.rollouts
         ]
-        seg_losses = _tool_losses_for_group(tool_tape, tool, scene, group)
+        seg_losses, _ = _group_seg_losses(tool_tape, tool, scene, group)
         objectives.grto_tool_term_nodes(
             tool_tape, lp_cur, [r.lp_old for r in group.rollouts], seg_losses
         )
@@ -266,72 +249,6 @@ def _materialize_buffer(buffer: ReplayBuffer, env_cfg, grammar):
     return out
 
 
-def _group_rewards(tool, scene, group: Group, filter_enabled, threshold,
-                   iou_weight, format_weight, logits_by_concept: dict | None = None):
-    """Rollout rewards with one tool forward per distinct concept.
-
-    `logits_by_concept` may carry already-computed logit values (e.g. from the
-    loss tape of the same step) to avoid a second forward pass.
-    """
-    logits_cache = {} if logits_by_concept is None else dict(logits_by_concept)
-    totals = []
-    for roll in group.rollouts:
-        if roll.prompt is None:
-            totals.append(0.0)
-            continue
-        prompt = roll.prompt
-        key = models.concept_index(prompt.color, prompt.size)
-        if key not in logits_cache:
-            logits_cache[key] = models.tool_logits(tool, scene, prompt)
-        mask = logits_cache[key] > np.log(threshold / (1.0 - threshold))
-        if filter_enabled:
-            mask = objectives.spatial_filter(mask, prompt.boxes)
-        totals.append(objectives.reward_for_mask(mask, scene.official_gt,
-                                                 iou_weight, format_weight).total)
-    return totals
-
-
-def _greedy_prompt_cache(policy, scenes, grammar):
-    cache = []
-    for scene in scenes:
-        tokens = models.greedy_decode(policy, scene, grammar)
-        cache.append((scene, parse_action_tokens(tokens, grammar)))
-    return cache
-
-
-def _report_from_prompts(tool, prompt_cache, filter_enabled, threshold,
-                         iou_weight, format_weight) -> EvalReport:
-    ious = []
-    rewards = []
-    inter_sum = 0
-    union_sum = 0
-    valid = 0
-    for scene, prompt in prompt_cache:
-        gt = scene.official_gt.astype(bool)
-        if prompt is None:
-            rewards.append(0.0)
-            inter, union = 0, int(np.count_nonzero(gt))
-        else:
-            valid += 1
-            mask = objectives.predicted_mask(tool, scene, prompt, filter_enabled, threshold)
-            rewards.append(objectives.reward_for_mask(mask, gt, iou_weight, format_weight).total)
-            inter = int(np.count_nonzero(mask & gt))
-            union = int(np.count_nonzero(mask | gt))
-        if union == 0:
-            ious.append(1.0)
-            continue
-        ious.append(inter / union)
-        inter_sum += inter
-        union_sum += union
-    return EvalReport(
-        per_sample_iou=ious,
-        giou=float(np.mean(ious)),
-        ciou=inter_sum / union_sum if union_sum else 1.0,
-        mean_reward=float(np.mean(rewards)),
-        validity_rate=valid / len(prompt_cache),
-    )
-
-
 def run_bto_stage(
     buffer: ReplayBuffer,
     tool0: NamedParams,
@@ -355,19 +272,17 @@ def run_bto_stage(
         )
     t0 = _now_ms()
     tc = rc.train
-    filter_enabled = tc.mode != "grto_no_filter"
+    scoring = objectives.scoring_for(tc, tc.mode)
     materialized = _materialize_buffer(buffer, rc.env, grammar)
-    prompt_cache = _greedy_prompt_cache(policy_ref, val_scenes, grammar)
-    frozen_totals = None
+    val_prompts = list(models.greedy_prompts(policy_ref, val_scenes, grammar))
+    frozen_rewards = None
     if rc.bto.frozen_rewards:
-        frozen_totals = [
-            _group_rewards(tool0, scene, group, filter_enabled, tc.threshold,
-                           tc.reward_iou_weight, tc.reward_format_weight)
+        frozen_rewards = [
+            objectives.compute_reward(tool0, scene, [r.prompt for r in group.rollouts], scoring)[1]
             for scene, group in materialized
         ]
     tool = tool0
-    report = _report_from_prompts(tool, prompt_cache, filter_enabled, tc.threshold,
-                                  tc.reward_iou_weight, tc.reward_format_weight)
+    report = metricsmod.evaluate(tool, val_scenes, val_prompts, scoring)
     records = [CheckpointRecord(epoch=0, metric=report.mean_reward, report=report)]
     best_tool = tool
     best_metric = report.mean_reward
@@ -375,39 +290,20 @@ def run_bto_stage(
     step = step_offset
     for epoch in range(1, rc.bto.epochs + 1):
         for g_idx, (scene, group) in enumerate(materialized):
-            # one tool forward per distinct concept serves both the reward
-            # refresh and the loss graph
             tape = GradientTape()
-            tape.leaves(tool)
-            logits_nodes: dict[int, ad.Tensor] = {}
-            loss_nodes: dict[int, ad.Tensor] = {}
-            seg_losses: list[ad.Tensor | None] = []
-            for roll in group.rollouts:
-                if roll.prompt is None:
-                    seg_losses.append(None)
-                    continue
-                key = models.concept_index(roll.prompt.color, roll.prompt.size)
-                if key not in loss_nodes:
-                    logits_nodes[key] = models.tool_forward_nodes(tape, tool, scene, roll.prompt)
-                    loss_nodes[key] = objectives.seg_loss_nodes(
-                        logits_nodes[key], scene.official_gt
-                    )
-                seg_losses.append(loss_nodes[key])
-            if frozen_totals is not None:
-                totals = frozen_totals[g_idx]
+            tape.leaves(tool)  # all-invalid groups still need zero tool gradients
+            seg_losses, logits = _group_seg_losses(tape, tool, scene, group)
+            if frozen_rewards is not None:
+                rewards = frozen_rewards[g_idx]
             else:
-                logits_values = {k: node.data for k, node in logits_nodes.items()}
-                totals = _group_rewards(tool, scene, group, filter_enabled, tc.threshold,
-                                        tc.reward_iou_weight, tc.reward_format_weight,
-                                        logits_by_concept=logits_values)
-            weights = objectives.bto_weights(totals, rc.bto.beta)
-            objective = objectives.bto_objective_nodes(tape, weights, seg_losses)
-            loss_value = -objective.item()
-            grads = ad.backward(tape)
-            desc = _descent_grads(grads, "tool/")
-            norm = global_norm(desc)
-            desc = clip_global_norm(desc, tc.grad_clip_norm)
-            tool, opt_tool = adamw_step(tool, desc, opt_tool, tc.lr_tool)
+                # the loss tape's forwards also score the rollouts under this tool
+                prompts = [r.prompt for r in group.rollouts]
+                _, rewards = objectives.compute_reward(tool, scene, prompts, scoring, logits)
+            weights = objectives.bto_weights([r.total for r in rewards], rc.bto.beta)
+            loss = ad.neg(objectives.bto_objective_nodes(tape, weights, seg_losses))
+            tool, opt_tool, norm = models.descent_step(
+                tool, ad.backward(tape), opt_tool, tc.lr_tool, tc.grad_clip_norm
+            )
             if writer is not None:
                 writer.emit_row(
                     step=step,
@@ -415,7 +311,7 @@ def run_bto_stage(
                     mode="bto",
                     report=report,
                     policy_obj=0.0,
-                    tool_loss=loss_value,
+                    tool_loss=loss.item(),
                     kl=0.0,
                     grad_norm_policy=0.0,
                     grad_norm_tool=norm,
@@ -423,8 +319,7 @@ def run_bto_stage(
                     seed=rc.seed,
                 )
             step += 1
-        report = _report_from_prompts(tool, prompt_cache, filter_enabled, tc.threshold,
-                                  tc.reward_iou_weight, tc.reward_format_weight)
+        report = metricsmod.evaluate(tool, val_scenes, val_prompts, scoring)
         records.append(CheckpointRecord(epoch=epoch, metric=report.mean_reward, report=report))
         if report.mean_reward > best_metric:
             best_metric = report.mean_reward
@@ -465,9 +360,8 @@ def _train_scene(rc: RunConfig, epoch: int, index: int, purpose: str = "train-sc
     return generate_scene(rng.derive_seed(rc.seed, purpose, epoch, index), rc.domain, rc.env)
 
 
-def _validation_record(policy, tool, val_scenes, grammar, tc, filter_enabled, epoch, path):
-    report = metricsmod.evaluate(policy, tool, val_scenes, grammar, filter_enabled, tc.threshold,
-                                 tc.reward_iou_weight, tc.reward_format_weight)
+def _validation_record(tool, val_scenes, prompts, scoring, epoch, path):
+    report = metricsmod.evaluate(tool, val_scenes, prompts, scoring)
     metric = 0.5 * (report.giou + report.ciou)
     return CheckpointRecord(epoch=epoch, metric=metric, path=path, report=report), report
 
@@ -513,7 +407,7 @@ def _main_loop(
     tool: NamedParams,
     train_tool: bool,
     lr_tool: float,
-    filter_enabled: bool,
+    scoring: objectives.Scoring,
     grammar,
     val_scenes,
     writer: MetricsWriter,
@@ -526,7 +420,7 @@ def _main_loop(
     opt_tool = adamw_init(tool) if train_tool else None
     path0 = _save_epoch(mode_dir, "epoch", 0, policy, tool, rc, mode)
     record, report = _validation_record(
-        policy, tool, val_scenes, grammar, tc, filter_enabled, 0, path0
+        tool, val_scenes, models.greedy_prompts(policy, val_scenes, grammar), scoring, 0, path0
     )
     records = [record]
     epoch_walls = []
@@ -547,11 +441,8 @@ def _main_loop(
                 tc.group_size,
                 rngs,
                 grammar,
+                scoring,
                 tc.temperature,
-                filter_enabled,
-                tc.threshold,
-                tc.reward_iou_weight,
-                tc.reward_format_weight,
             )
             batch.append((scene, group))
             if len(batch) < tc.groups_per_step and index + 1 < tc.scenes_per_epoch:
@@ -579,9 +470,8 @@ def _main_loop(
             step += 1
             batch = []
         path = _save_epoch(mode_dir, "epoch", epoch, policy, tool, rc, mode)
-        record, report = _validation_record(
-            policy, tool, val_scenes, grammar, tc, filter_enabled, epoch, path
-        )
+        val_prompts = models.greedy_prompts(policy, val_scenes, grammar)
+        record, report = _validation_record(tool, val_scenes, val_prompts, scoring, epoch, path)
         records.append(record)
         writer.flush()
         epoch_walls.append(_now_ms() - epoch_t0)
@@ -607,7 +497,7 @@ def run_mode(rc: RunConfig, workdir: str) -> RunResult:
     mode_dir = os.path.join(workdir, mode, str(rc.seed))
     os.makedirs(mode_dir, exist_ok=True)
     metrics_path = os.path.join(mode_dir, "metrics.csv")
-    filter_enabled = mode != "grto_no_filter"
+    scoring = objectives.scoring_for(rc.train, mode)
     bto_records = None
     bto_wall = None
     tool_records = None
@@ -637,7 +527,7 @@ def run_mode(rc: RunConfig, workdir: str) -> RunResult:
             tool_start,
             train_tool,
             lr_tool,
-            filter_enabled,
+            scoring,
             grammar,
             val_scenes,
             writer,
@@ -649,7 +539,7 @@ def run_mode(rc: RunConfig, workdir: str) -> RunResult:
             best_policy_record = select_best_checkpoint(records)
             best_policy = split_params(load_checkpoint(best_policy_record.path).params, "policy/")
             tool_records, tool = _reverse_tool_stage(
-                rc, best_policy, tool0, grammar, val_scenes, writer, mode_dir,
+                rc, best_policy, tool0, scoring, grammar, val_scenes, writer, mode_dir,
                 step_offset=next_step,
             )
             selected = select_best_checkpoint(tool_records)
@@ -676,6 +566,7 @@ def _reverse_tool_stage(
     rc: RunConfig,
     policy_best: NamedParams,
     tool0: NamedParams,
+    scoring: objectives.Scoring,
     grammar,
     val_scenes,
     writer: MetricsWriter,
@@ -691,35 +582,29 @@ def _reverse_tool_stage(
     tc = rc.train
     tool = tool0
     opt_tool = adamw_init(tool)
+    val_prompts = list(models.greedy_prompts(policy_best, val_scenes, grammar))
     path0 = _save_epoch(mode_dir, "toolepoch", 0, policy_best, tool, rc, "reverse_seq")
-    record, report = _validation_record(
-        policy_best, tool, val_scenes, grammar, tc, True, 0, path0
-    )
+    record, report = _validation_record(tool, val_scenes, val_prompts, scoring, 0, path0)
     records = [record]
     step = step_offset
     for epoch in range(1, rc.bto.epochs + 1):
         for index in range(tc.scenes_per_epoch):
             scene = _train_scene(rc, epoch, index, purpose="revseq-tool-scene")
-            tokens = models.greedy_decode(policy_best, scene, grammar)
-            prompt = parse_action_tokens(tokens, grammar)
-            if prompt is None:
+            prompts = list(models.greedy_prompts(policy_best, [scene], grammar))
+            if prompts[0] is None:
                 continue
             tape = GradientTape()
-            logits = models.tool_forward_nodes(tape, tool, scene, prompt)
-            loss = objectives.seg_loss_nodes(logits, scene.official_gt)
-            loss_value = loss.item()
-            grads = ad.backward(tape)
-            desc = split_params(grads, "tool/")
-            norm = global_norm(desc)
-            desc = clip_global_norm(desc, tc.grad_clip_norm)
-            tool, opt_tool = adamw_step(tool, desc, opt_tool, tc.lr_tool)
+            (loss,), _ = objectives.prompt_seg_losses(tape, tool, scene, prompts, scene.official_gt)
+            tool, opt_tool, norm = models.descent_step(
+                tool, ad.backward(tape), opt_tool, tc.lr_tool, tc.grad_clip_norm
+            )
             writer.emit_row(
                 step=step,
                 epoch=epoch,
                 mode="reverse_seq_tool",
                 report=report,
                 policy_obj=0.0,
-                tool_loss=loss_value,
+                tool_loss=loss.item(),
                 kl=0.0,
                 grad_norm_policy=0.0,
                 grad_norm_tool=norm,
@@ -728,9 +613,7 @@ def _reverse_tool_stage(
             )
             step += 1
         path = _save_epoch(mode_dir, "toolepoch", epoch, policy_best, tool, rc, "reverse_seq")
-        record, report = _validation_record(
-            policy_best, tool, val_scenes, grammar, tc, True, epoch, path
-        )
+        record, report = _validation_record(tool, val_scenes, val_prompts, scoring, epoch, path)
         records.append(record)
         writer.flush()
     return records, tool

@@ -74,7 +74,8 @@ def test_criterion_1_gradient_correctness():
             failures.append(f"policy_logprob[{k}]: {rep}")
 
         # importance-weighted tool term
-        group = sample_group(policy, policy, tool, scene, 4, rollout_streams(k, 0, 4), grammar)
+        group = sample_group(policy, policy, tool, scene, 4, rollout_streams(k, 0, 4), grammar,
+                             objectives.Scoring())
         tape = GradientTape()
         tape.leaves(tool)
         lp_cur = [models.policy_logprob_nodes(tape, policy, scene, r.tokens, grammar)
@@ -270,7 +271,7 @@ def test_criterion_7_grpo_mechanics():
     for step in range(5):
         scene = generate_scene(rng.derive_seed(7, "acc-mech", step), "target", cfg)
         group = sample_group(current, policy, tool, scene, 4,
-                             rollout_streams(7, step, 4), grammar)
+                             rollout_streams(7, step, 4), grammar, objectives.Scoring())
         for roll in group.rollouts:
             again = models.policy_logprobs(current, scene, roll.tokens, grammar)
             worst_ratio_dev = max(worst_ratio_dev, float(np.max(np.abs(np.exp(again - roll.lp_old) - 1.0))))
@@ -331,7 +332,7 @@ def test_criterion_8_frozen_tool_ceiling():
     for i in range(48):
         scene = generate_scene(rng.derive_seed(8, "acc-ceiling", i), "target", rc.env)
         prompt = models.true_prompt(scene)
-        mask = objectives.predicted_mask(tool, scene, prompt, True, 0.5)
+        (mask,), _ = objectives.compute_reward(tool, scene, [prompt], objectives.Scoring())
         ious.append(objectives.mask_iou(mask, scene.gt_mask_target))
         ceilings.append(env.erosion_ceiling(scene.objects[scene.target_ids[0]].rect))
     gap = abs(float(np.mean(ious)) - float(np.mean(ceilings)))
@@ -380,12 +381,10 @@ def ordering_runs(tmp_path_factory):
             wall = time.monotonic() - t0
             ckpt = load_checkpoint(result.selected_path)
             report = metricsmod.evaluate(
-                split_params(ckpt.params, "policy/"),
                 split_params(ckpt.params, "tool/"),
                 eval_scenes,
-                grammar,
-                True,
-                rc.train.threshold,
+                models.greedy_prompts(split_params(ckpt.params, "policy/"), eval_scenes, grammar),
+                objectives.Scoring(threshold=rc.train.threshold),
             )
             runs[mode][seed] = {
                 "result": result,

@@ -53,6 +53,16 @@ def test_cli_bad_config_reports_problems(capsys, workdir, tmp_path):
     assert any("bogus" in p for p in err["problems"])
 
 
+def test_cli_missing_config_file_is_config_error(capsys, workdir, tmp_path):
+    base, _cfg = workdir
+    missing = str(tmp_path / "nonexistent.json")
+    captured = run_cli(capsys, ["pretrain-tool", "--workdir", base, "--config", missing],
+                       expect=2)
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert any(missing in p for p in err["problems"])
+
+
 def test_cli_train_before_prereqs_names_command(capsys, workdir, tmp_path):
     _base, cfg = workdir
     empty = tmp_path / "empty"
@@ -79,6 +89,20 @@ def test_cli_pipeline_end_to_end(capsys, workdir):
     report = json.loads(out)
     assert set(report) == {"giou", "ciou", "mean_reward", "validity_rate", "samples"}
     assert 0.0 <= report["giou"] <= 1.0
+
+
+def test_cli_eval_honours_reward_weights(capsys, workdir):
+    base, cfg = workdir
+    argv = ["eval", "--workdir", base, "--config", cfg, "--set", "train.mode=grpo"]
+    default = json.loads(run_cli(capsys, argv).out)
+    half = json.loads(run_cli(capsys, argv + ["--set", "train.reward_iou_weight=0.5",
+                                              "--set", "train.reward_format_weight=0.5"]).out)
+    # a valid prompt scores iou_weight * IoU + format_weight; an invalid one scores 0 at IoU 0
+    for report, (iou_w, fmt_w) in ((default, (0.9, 0.1)), (half, (0.5, 0.5))):
+        expected = iou_w * report["giou"] + fmt_w * report["validity_rate"]
+        assert report["mean_reward"] == pytest.approx(expected, abs=1e-12)
+    assert half["giou"] == default["giou"]
+    assert half["mean_reward"] != default["mean_reward"]
 
 
 def test_cli_bootstrapped_mode_requires_buffer(capsys, workdir, tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bgrto import metrics, models, rng
-from bgrto.env import EnvConfig, generate_scene, standard_grammar
+from bgrto.env import EnvConfig, generate_scene, parse_action_tokens, standard_grammar
 from bgrto.metrics import CSV_COLUMNS, EvalReport, MetricsUsageError, MetricsWriter, evaluate
-from bgrto.models import PolicyConfig, ToolConfig
+from bgrto.models import PolicyConfig, ToolConfig, greedy_prompts
+from bgrto.objectives import Scoring
 
 CFG = EnvConfig(width=8, height=8, colors=2, min_objects=1, max_objects=2,
                 min_side=3, max_side=4, small_area_threshold=12)
@@ -44,7 +45,7 @@ def test_evaluate_end_to_end_consistency():
     policy = models.policy_init(0, CFG, GRAMMAR, PolicyConfig(hidden=8))
     tool = models.tool_init(1, CFG, ToolConfig(hidden=5, embed_dim=3))
     scenes = [generate_scene(rng.derive_seed(1, "eval", i), "target", CFG) for i in range(6)]
-    report = evaluate(policy, tool, scenes, GRAMMAR)
+    report = evaluate(tool, scenes, greedy_prompts(policy, scenes, GRAMMAR), Scoring())
     assert len(report.per_sample_iou) == 6
     assert report.giou == pytest.approx(float(np.mean(report.per_sample_iou)))
     assert 0.0 <= report.giou <= 1.0
@@ -56,7 +57,7 @@ def test_evaluate_single_sample_metrics_agree():
     policy = models.policy_init(2, CFG, GRAMMAR, PolicyConfig(hidden=8))
     tool = models.tool_init(3, CFG, ToolConfig(hidden=5, embed_dim=3))
     scene = generate_scene(rng.derive_seed(2, "single", 0), "target", CFG)
-    report = evaluate(policy, tool, [scene], GRAMMAR)
+    report = evaluate(tool, [scene], greedy_prompts(policy, [scene], GRAMMAR), Scoring())
     assert report.giou == pytest.approx(report.ciou)
     assert report.giou == pytest.approx(report.per_sample_iou[0])
 
@@ -65,11 +66,25 @@ def test_evaluate_order_invariance():
     policy = models.policy_init(4, CFG, GRAMMAR, PolicyConfig(hidden=8))
     tool = models.tool_init(5, CFG, ToolConfig(hidden=5, embed_dim=3))
     scenes = [generate_scene(rng.derive_seed(3, "order", i), "target", CFG) for i in range(5)]
-    fwd = evaluate(policy, tool, scenes, GRAMMAR)
-    rev = evaluate(policy, tool, scenes[::-1], GRAMMAR)
+    fwd = evaluate(tool, scenes, greedy_prompts(policy, scenes, GRAMMAR), Scoring())
+    rev = evaluate(tool, scenes[::-1], greedy_prompts(policy, scenes[::-1], GRAMMAR),
+                   Scoring())
     assert fwd.giou == pytest.approx(rev.giou)
     assert fwd.ciou == pytest.approx(rev.ciou)
     assert fwd.mean_reward == pytest.approx(rev.mean_reward)
+
+
+def test_evaluate_cached_prompts_match_fresh_decoding():
+    policy = models.policy_init(6, CFG, GRAMMAR, PolicyConfig(hidden=8))
+    scenes = [generate_scene(rng.derive_seed(4, "cached", i), "target", CFG) for i in range(8)]
+    cached = list(greedy_prompts(policy, scenes, GRAMMAR))
+    for seed in (7, 8):
+        tool = models.tool_init(seed, CFG, ToolConfig(hidden=5, embed_dim=3))
+        fresh = [parse_action_tokens(models.greedy_decode(policy, scene, GRAMMAR), GRAMMAR)
+                 for scene in scenes]
+        assert evaluate(tool, scenes, cached, Scoring()) == evaluate(tool, scenes, fresh, Scoring())
+    with pytest.raises(ValueError):
+        evaluate(tool, scenes, cached[:-1], Scoring())
 
 
 def test_evaluate_equal_unions_make_metrics_agree():
@@ -83,7 +98,7 @@ def test_evaluate_empty_scene_list_rejected():
     policy = models.policy_init(0, CFG, GRAMMAR, PolicyConfig(hidden=8))
     tool = models.tool_init(1, CFG, ToolConfig(hidden=5, embed_dim=3))
     with pytest.raises(MetricsUsageError):
-        evaluate(policy, tool, [], GRAMMAR)
+        evaluate(tool, [], [], Scoring())
 
 
 def test_csv_header_and_row_shape(tmp_path):

@@ -187,6 +187,23 @@ def test_tool_flip_covariance():
     assert np.allclose(flipped_logits, np.flip(logits, axis=1), atol=1e-12)
 
 
+def test_descent_step_takes_own_grads_and_clips():
+    from bgrto.optim import adamw_init, adamw_step, clip_global_norm, global_norm
+
+    params = models.tool_init(5, SMALL_CFG, SMALL_TOOL_CFG)
+    gen = rng.stream(3, "descent-step")
+    grads = NamedParams((name, gen.normal(size=arr.shape)) for name, arr in params.items())
+    grads["policy/other"] = np.ones(3)  # another model's leaf on the same tape
+    own = NamedParams((name, g) for name, g in grads.items() if name.startswith("tool/"))
+    state = adamw_init(params)
+    plain, _, norm = models.descent_step(params, grads, state, 1e-3)
+    assert norm is None
+    assert plain == adamw_step(params, own, state, 1e-3)[0]
+    clipped, _, clipped_norm = models.descent_step(params, grads, state, 1e-3, clip_norm=0.5)
+    assert clipped_norm == global_norm(own) > 0.5
+    assert clipped == adamw_step(params, clip_global_norm(own, 0.5), state, 1e-3)[0]
+
+
 def build_source_scenes(cfg, count, tag):
     return [generate_scene(rng.derive_seed(99, tag, i), "source", cfg) for i in range(count)]
 
@@ -210,7 +227,8 @@ def test_pretrained_tool_fits_source(pretrained_tool):
                 for i in range(32)]
     ious = []
     for scene in held_out:
-        mask = objectives.predicted_mask(params, scene, models.true_prompt(scene), True, 0.5)
+        (mask,), _ = objectives.compute_reward(params, scene, [models.true_prompt(scene)],
+                                              objectives.Scoring())
         ious.append(objectives.mask_iou(mask, scene.gt_mask_source))
     assert float(np.mean(ious)) >= 0.9
 
@@ -220,7 +238,7 @@ def test_pretrained_tool_hits_erosion_ceiling(pretrained_tool):
     for i in range(32):
         scene = generate_scene(rng.derive_seed(7, "pretrain-held", i), "target", CFG)
         prompt = models.true_prompt(scene)
-        mask = objectives.predicted_mask(params, scene, prompt, True, 0.5)
+        (mask,), _ = objectives.compute_reward(params, scene, [prompt], objectives.Scoring())
         iou = objectives.mask_iou(mask, scene.gt_mask_target)
         rect = scene.objects[scene.target_ids[0]].rect
         assert iou <= env.erosion_ceiling(rect) + 0.02

@@ -12,6 +12,7 @@ from bgrto.env import EnvConfig, ToolPrompt, generate_scene, standard_grammar
 from bgrto.models import ToolConfig
 from bgrto.objectives import (
     ObjectiveUsageError,
+    Scoring,
     bto_objective_nodes,
     bto_weights,
     compute_advantages,
@@ -107,7 +108,7 @@ def test_reward_perfect_mask():
     tool = constant_logit_tool(SMALL_CFG)
     rect = scene.objects[scene.target_ids[0]].rect
     prompt = ToolPrompt(color=0, size=None, boxes=(env.eroded_rect(rect),))
-    r = compute_reward(scene, prompt, tool)
+    r = compute_reward(tool, scene, [prompt], Scoring())[1][0]
     assert r.r_iou == 1.0 and r.r_format == 1.0
     assert r.total == pytest.approx(1.0)
 
@@ -115,7 +116,7 @@ def test_reward_perfect_mask():
 def test_reward_invalid_prompt_zero():
     scene = generate_scene(3, "target", SMALL_CFG)
     tool = constant_logit_tool(SMALL_CFG)
-    r = compute_reward(scene, None, tool)
+    r = compute_reward(tool, scene, [None], Scoring())[1][0]
     assert (r.r_iou, r.r_format, r.total) == (0.0, 0.0, 0.0)
 
 
@@ -127,7 +128,7 @@ def test_reward_full_rect_against_eroded_6x6():
     tool = constant_logit_tool(cfg)
     rect = scene.objects[scene.target_ids[0]].rect
     prompt = ToolPrompt(color=0, size=None, boxes=(rect,))
-    r = compute_reward(scene, prompt, tool)
+    r = compute_reward(tool, scene, [prompt], Scoring())[1][0]
     assert r.r_iou == pytest.approx(16 / 36)
     assert r.total == pytest.approx(0.9 * 16 / 36 + 0.1)
 
@@ -137,9 +138,80 @@ def test_reward_filter_disabled_keeps_everything():
     tool = constant_logit_tool(SMALL_CFG)
     rect = scene.objects[scene.target_ids[0]].rect
     prompt = ToolPrompt(color=0, size=None, boxes=(env.eroded_rect(rect),))
-    r = compute_reward(scene, prompt, tool, filter_enabled=False)
+    r = compute_reward(tool, scene, [prompt], Scoring(filter_enabled=False))[1][0]
     # the unfiltered constant mask covers the whole grid
     assert r.r_iou == pytest.approx(scene.gt_mask_target.sum() / (SMALL_CFG.width * SMALL_CFG.height))
+
+
+def group_prompts(scene):
+    """Two prompts per concept for two concepts, plus an invalid one."""
+    rect = scene.objects[scene.target_ids[0]].rect
+    return [
+        ToolPrompt(color=0, size=None, boxes=(rect,)),
+        None,
+        ToolPrompt(color=1, size=env.SIZE_SMALL, boxes=((0, 0, 7, 7),)),
+        ToolPrompt(color=0, size=None, boxes=((0, 0, 3, 3),)),
+        ToolPrompt(color=1, size=env.SIZE_SMALL, boxes=(rect,)),
+    ]
+
+
+def test_compute_reward_group_equals_each_prompt_alone():
+    scene = generate_scene(5, "target", SMALL_CFG)
+    tool = models.tool_init(3, SMALL_CFG, ToolConfig(hidden=5, embed_dim=3))
+    prompts = group_prompts(scene)
+    for scoring in (Scoring(), Scoring(filter_enabled=False, threshold=0.3,
+                                       iou_weight=0.5, format_weight=0.5)):
+        masks, rewards = compute_reward(tool, scene, prompts, scoring)
+        for prompt, mask, reward in zip(prompts, masks, rewards):
+            (alone_mask,), (alone,) = compute_reward(tool, scene, [prompt], scoring)
+            assert reward == alone
+            if prompt is None:
+                assert mask is None and alone_mask is None
+            else:
+                assert np.array_equal(mask, alone_mask)
+
+
+def test_compute_reward_runs_the_tool_once_per_concept(monkeypatch):
+    scene = generate_scene(5, "target", SMALL_CFG)
+    tool = models.tool_init(3, SMALL_CFG, ToolConfig(hidden=5, embed_dim=3))
+    prompts = group_prompts(scene)
+    expected = compute_reward(tool, scene, prompts, Scoring())
+    concepts = []
+    real = models.tool_logits
+
+    def counting(params, scene, prompt):
+        concepts.append(models.concept_index(prompt.color, prompt.size))
+        return real(params, scene, prompt)
+
+    monkeypatch.setattr(models, "tool_logits", counting)
+    masks, rewards = compute_reward(tool, scene, prompts, Scoring())
+    assert sorted(concepts) == [models.concept_index(0, None),
+                                models.concept_index(1, env.SIZE_SMALL)]
+    assert rewards == expected[1]
+    # logits from the loss tape's forwards stand in for the tool runs
+    concepts.clear()
+    _, logits = objectives.prompt_seg_losses(GradientTape(), tool, scene, prompts,
+                                             scene.official_gt)
+    reused_masks, reused = compute_reward(tool, scene, prompts, Scoring(), logits)
+    assert concepts == []
+    assert reused == rewards
+    assert all(a is b is None or np.array_equal(a, b) for a, b in zip(reused_masks, masks))
+
+
+def test_prompt_seg_losses_share_one_forward_per_concept():
+    scene = generate_scene(5, "target", SMALL_CFG)
+    tool = models.tool_init(3, SMALL_CFG, ToolConfig(hidden=5, embed_dim=3))
+    prompts = group_prompts(scene)
+    losses, logits = objectives.prompt_seg_losses(GradientTape(), tool, scene, prompts,
+                                                  scene.official_gt)
+    assert losses[1] is None
+    assert losses[0] is losses[3] and losses[2] is losses[4] and losses[0] is not losses[2]
+    assert len(logits) == 2
+    for prompt, loss in zip(prompts, losses):
+        if prompt is not None:
+            key = models.concept_index(prompt.color, prompt.size)
+            assert np.array_equal(logits[key], models.tool_logits(tool, scene, prompt))
+            assert loss.item() == seg_loss(logits[key], scene.official_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +561,7 @@ def test_reward_empty_prediction_scores_format_only():
     scene = generate_scene(3, "target", SMALL_CFG)
     tool = constant_logit_tool(SMALL_CFG, value=-50.0)  # empty mask everywhere
     prompt = ToolPrompt(color=0, size=None, boxes=((0, 0, 3, 3),))
-    r = compute_reward(scene, prompt, tool)
+    r = compute_reward(tool, scene, [prompt], Scoring())[1][0]
     assert r.r_iou == 0.0
     assert r.total == pytest.approx(0.1 * r.r_format)
 
@@ -500,6 +572,6 @@ def test_reward_total_range_random():
     for i in range(10):
         scene = generate_scene(int(gen.integers(1 << 30)), "target", SMALL_CFG)
         prompt = models.true_prompt(scene)
-        r = compute_reward(scene, prompt, tool)
+        r = compute_reward(tool, scene, [prompt], Scoring())[1][0]
         assert 0.0 <= r.total <= 1.0
         assert r.total == pytest.approx(0.9 * r.r_iou + 0.1 * r.r_format)

@@ -8,6 +8,7 @@ from bgrto.autodiff import NamedParams
 from bgrto.checkpoint import params_digest
 from bgrto.env import EnvConfig, env_config_hash, generate_scene, standard_grammar
 from bgrto.models import PolicyConfig, ToolConfig
+from bgrto.objectives import Scoring
 from bgrto.rollout import (
     BufferFormatError,
     build_replay_buffer,
@@ -33,7 +34,8 @@ def setup():
 
 def test_sample_group_fields(setup):
     policy, tool, scene = setup
-    group = sample_group(policy, policy, tool, scene, 8, rollout_streams(0, 0, 8), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 8, rollout_streams(0, 0, 8),
+                         GRAMMAR, Scoring())
     assert len(group.rollouts) == 8
     assert group.advantages is not None
     assert group.scene_seed == scene.seed and group.domain == "target"
@@ -49,8 +51,8 @@ def test_sample_group_fields(setup):
 
 def test_sample_group_deterministic(setup):
     policy, tool, scene = setup
-    a = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4), GRAMMAR)
-    b = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4), GRAMMAR)
+    a = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4), GRAMMAR, Scoring())
+    b = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4), GRAMMAR, Scoring())
     assert [r.tokens for r in a.rollouts] == [r.tokens for r in b.rollouts]
     assert all(np.array_equal(x.lp_old, y.lp_old) for x, y in zip(a.rollouts, b.rollouts))
 
@@ -58,7 +60,8 @@ def test_sample_group_deterministic(setup):
 def test_sample_group_on_policy_ref_matches_old(setup):
     # sampling policy == reference policy: lp_ref must equal lp_old bit-exactly
     policy, tool, scene = setup
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(2, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(2, 0, 4),
+                         GRAMMAR, Scoring())
     for roll in group.rollouts:
         assert np.array_equal(roll.lp_old, roll.lp_ref)
 
@@ -79,7 +82,8 @@ def all_invalid_policy():
 def test_all_invalid_group_degenerate(setup):
     _policy, tool, scene = setup
     bad_policy = all_invalid_policy()
-    group = sample_group(bad_policy, bad_policy, tool, scene, 6, rollout_streams(3, 0, 6), GRAMMAR)
+    group = sample_group(bad_policy, bad_policy, tool, scene, 6, rollout_streams(3, 0, 6),
+                         GRAMMAR, Scoring())
     assert all(not r.valid for r in group.rollouts)
     assert all(r.reward.total == 0.0 for r in group.rollouts)
     assert group.advantages.degenerate

@@ -11,6 +11,7 @@ from bgrto.autodiff import NamedParams
 from bgrto.checkpoint import load_checkpoint, params_digest, save_checkpoint, split_params
 from bgrto.env import EnvConfig, generate_scene, scripted_demonstration, standard_grammar
 from bgrto.models import PolicyConfig, ToolConfig
+from bgrto.objectives import Scoring
 from bgrto.optim import adamw_init, adamw_step, clip_global_norm, global_norm
 from bgrto.rollout import build_replay_buffer, rollout_streams, sample_group
 from bgrto.schedules import (
@@ -125,7 +126,8 @@ def tiny():
 def test_grpo_step_leaves_tool_untouched(tiny):
     rc, policy, tool, scene = tiny
     snapshot = tool.copy()
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(0, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(0, 0, 4),
+                         GRAMMAR, Scoring())
     new_policy, _opt, stats = train_step_grpo([(scene, group)], policy, adamw_init(policy),
                                               rc.train, GRAMMAR)
     assert tool == snapshot
@@ -135,7 +137,8 @@ def test_grpo_step_leaves_tool_untouched(tiny):
 
 def test_grpo_step_raises_positive_rollout_logprob(tiny):
     rc, policy, tool, scene = tiny
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(1, 0, 4),
+                         GRAMMAR, Scoring())
     # inject a synthetic reward pattern: rollout 0 is the only winner
     from bgrto.objectives import RewardBreakdown, compute_advantages
 
@@ -153,7 +156,8 @@ def test_grpo_step_raises_positive_rollout_logprob(tiny):
 
 def test_grpo_step_asserts_on_policy(tiny):
     rc, policy, tool, scene = tiny
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(2, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(2, 0, 4),
+                         GRAMMAR, Scoring())
     group.rollouts[0].lp_old = group.rollouts[0].lp_old - 0.5  # fake off-policy data
     with pytest.raises(RuntimeError, match="single-step"):
         train_step_grpo([(scene, group)], policy, adamw_init(policy), rc.train, GRAMMAR)
@@ -162,7 +166,8 @@ def test_grpo_step_asserts_on_policy(tiny):
 def test_grto_step_updates_both_and_separates(tiny):
     rc, policy, tool, scene = tiny
     tc = dataclasses.replace(rc.train, debug_checks=True)
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(3, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(3, 0, 4),
+                         GRAMMAR, Scoring())
     if not any(r.valid for r in group.rollouts):
         pytest.skip("all-invalid sample; covered elsewhere")
     new_policy, new_tool, _o1, _o2, stats = train_step_grto(
@@ -178,7 +183,8 @@ def test_grto_step_tool_descends_seg_loss(tiny):
     from bgrto.autodiff import GradientTape
 
     rc, policy, tool, scene = tiny
-    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(4, 0, 4), GRAMMAR)
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(4, 0, 4),
+                         GRAMMAR, Scoring())
     valid = [r for r in group.rollouts if r.valid]
     if not valid:
         pytest.skip("all-invalid sample")
@@ -204,7 +210,8 @@ def test_grto_all_invalid_group_zero_tool_gradient(tiny):
 
     rc, _policy, tool, scene = tiny
     bad_policy = all_invalid_policy()
-    group = sample_group(bad_policy, bad_policy, tool, scene, 4, rollout_streams(5, 0, 4), GRAMMAR)
+    group = sample_group(bad_policy, bad_policy, tool, scene, 4, rollout_streams(5, 0, 4),
+                         GRAMMAR, Scoring())
     assert not any(r.valid for r in group.rollouts)
     _p, new_tool, _o1, _o2, stats = train_step_grto(
         [(scene, group)], bad_policy, tool, adamw_init(bad_policy), adamw_init(tool), rc.train,
