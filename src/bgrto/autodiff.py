@@ -14,6 +14,7 @@ finite differences, which :func:`finite_diff_check` automates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +269,11 @@ def _fw_matmul(n):
     return n.parents[0].data @ n.parents[1].data
 
 
+def _fw_rowwise_matmul(n):
+    a, b = n.parents
+    return np.matmul(a.data[:, None, :], b.data)[:, 0, :]
+
+
 def _fw_sum(n):
     return np.asarray(n.parents[0].data.sum(), dtype=np.float64)
 
@@ -343,6 +349,7 @@ _FORWARD = {
     "div": _fw_div,
     "neg": _fw_neg,
     "matmul": _fw_matmul,
+    "rowwise_matmul": _fw_rowwise_matmul,
     "sum_reduce": _fw_sum,
     "mean_reduce": _fw_mean,
     "exp": _fw_exp,
@@ -412,6 +419,15 @@ def _bw_matmul(n, g):
     a, b = n.parents
     _acc(a, g @ b.data.T)
     _acc(b, a.data.T @ g)
+
+
+def _bw_rowwise_matmul(n, g):
+    a, b = n.parents
+    if b.data.ndim == 2:
+        _bw_matmul(n, g)  # a.T @ g sums the rows' outer products into the shared matrix
+    else:
+        _acc(a, np.matmul(g[:, None, :], b.data.transpose(0, 2, 1))[:, 0, :])
+        _acc(b, a.data[:, :, None] * g[:, None, :])
 
 
 def _bw_sum(n, g):
@@ -494,6 +510,7 @@ _BACKWARD = {
     "div": _bw_div,
     "neg": _bw_neg,
     "matmul": _bw_matmul,
+    "rowwise_matmul": _bw_rowwise_matmul,
     "sum_reduce": _bw_sum,
     "mean_reduce": _bw_mean,
     "exp": _bw_exp,
@@ -560,6 +577,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.dims[1] != b.dims[0]:
         raise ShapeError(f"matmul: inner dims {a.dims} @ {b.dims} do not match")
     return _make("matmul", (a, b))
+
+
+def rowwise_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(M, n) product whose row i is the one-row product a[i:i+1] @ b, or @ b[i].
+
+    `b` is one (k, n) matrix shared by every row of the (M, k) `a`, or a stack
+    of M such matrices, one per row.  Each row is computed as its own one-row
+    product, so it carries the same bits as `matmul` on that row alone for
+    any M; a plain (M, k) @ (k, n) product may round rows differently.
+    """
+    if a.tape is not b.tape:
+        raise UsageError("operands belong to different tapes")
+    a_dims, b_dims = a.dims, b.dims
+    if len(a_dims) != 2 or b_dims[:-1] not in (a_dims, a_dims[1:]):
+        raise ShapeError(
+            f"rowwise_matmul: requires (M, k) and (k, n) or (M, k, n), got {a_dims} and {b_dims}"
+        )
+    return _make("rowwise_matmul", (a, b))
 
 
 def sum_reduce(a: Tensor) -> Tensor:
@@ -639,7 +674,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def reshape(a: Tensor, dims) -> Tensor:
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims, dtype=np.int64)) != a.data.size:
+    if math.prod(dims) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.dims} as {dims}")
     return _make("reshape", (a,), {"dims": dims})
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -221,12 +222,16 @@ def _cmd_eval(args) -> int:
         raise CheckpointFormatError(f"checkpoint {ckpt_path} lacks policy or tool tensors")
     grammar = grammar_for(rc.env)
     domain = args.domain or rc.domain
-    count = args.scenes or rc.validation.scenes
-    scenes = [
+    count = rc.validation.scenes if args.scenes is None else args.scenes
+    if count < 1:
+        raise ConfigError([f"--scenes must be positive, got {count}"])
+    # scenes are generated, decoded a chunk at a time and scored as they arrive;
+    # the tee holds at most the chunk being decoded
+    scenes, decode_scenes = itertools.tee(
         generate_scene(rng.derive_seed(rc.seed, "eval-scene", i), domain, rc.env)
         for i in range(count)
-    ]
-    prompts = models.greedy_prompts(policy, scenes, grammar)
+    )
+    prompts = models.greedy_prompts(policy, decode_scenes, grammar)
     scoring = objectives.scoring_for(rc.train, ckpt.metadata.get("mode"))
     report = metricsmod.evaluate(tool, scenes, prompts, scoring)
     print(json.dumps(report.to_json_dict()))

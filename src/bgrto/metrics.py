@@ -58,20 +58,19 @@ class EvalReport:
 
 def evaluate(
     tool: NamedParams,
-    scenes: list[GridScene],
+    scenes: Iterable[GridScene],
     prompts: Iterable[ToolPrompt | None],
     scoring: objectives.Scoring,
 ) -> EvalReport:
     """Score each scene's prompt (None when it did not parse) under `scoring`.
 
-    `prompts` holds one prompt per scene, in order; it may be a generator.
+    `prompts` holds one prompt per scene, in order.  Both may be generators:
+    each scene is scored as it arrives and need not outlive its turn.
 
     Invalid prompts contribute IoU 0 (an empty prediction).  gIoU is the mean
     of per-sample IoUs; cIoU is cumulative intersection over cumulative union,
     with both-empty samples excluded from the sums (they score 1 in gIoU).
     """
-    if not scenes:
-        raise MetricsUsageError("evaluate requires at least one scene")
     ious: list[float] = []
     inter_sum = 0
     union_sum = 0
@@ -94,13 +93,15 @@ def evaluate(
         ious.append(inter / union)
         inter_sum += inter
         union_sum += union
+    if not ious:
+        raise MetricsUsageError("evaluate requires at least one scene")
     ciou = inter_sum / union_sum if union_sum > 0 else 1.0
     return EvalReport(
         per_sample_iou=ious,
         giou=float(np.mean(ious)),
         ciou=ciou,
         mean_reward=float(np.mean(rewards)),
-        validity_rate=valid_count / len(scenes),
+        validity_rate=valid_count / len(ious),
     )
 
 

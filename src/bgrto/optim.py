@@ -86,11 +86,17 @@ def global_norm(grads: NamedParams) -> float:
     return math.sqrt(total)
 
 
-def clip_global_norm(grads: NamedParams, max_norm: float) -> NamedParams:
-    """Scale all gradients down together when their global L2 norm exceeds max_norm."""
+def clip_global_norm(
+    grads: NamedParams, max_norm: float, norm: float | None = None
+) -> NamedParams:
+    """Scale all gradients down together when their global L2 norm exceeds max_norm.
+
+    `norm` is `global_norm(grads)` when the caller has computed it already.
+    """
     if not max_norm > 0.0:
         raise ValueError("max_norm must be positive")
-    norm = global_norm(grads)
+    if norm is None:
+        norm = global_norm(grads)
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

@@ -54,22 +54,18 @@ def enumerate_space(
         raise OracleError(
             f"enumeration refused: {total} sequences exceed the guard of {ENUMERATION_GUARD}"
         )
-    # per-prefix log-softmax tables, walked in lexicographic order
+    # per-prefix log-softmax tables: one policy step over all of a step's prefixes
     logprob_by_prefix: dict[tuple[int, ...], np.ndarray] = {}
-
-    def step_logprobs(prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix not in logprob_by_prefix:
-            logprob_by_prefix[prefix] = models.policy_step_logprobs(
-                policy, scene, grammar, list(prefix), len(prefix)
-            )
-        return logprob_by_prefix[prefix]
-
+    for t in range(grammar.l_max):
+        prefixes = list(itertools.product(*(range(s) for s in grammar.step_sizes[:t])))
+        rows = models.policy_step_logprob_rows(policy, [scene] * len(prefixes), grammar, prefixes, t)
+        logprob_by_prefix.update(zip(prefixes, rows))
     sequences = []
     logps = []
     for seq in itertools.product(*(range(s) for s in grammar.step_sizes)):
         lp = 0.0
         for t in range(grammar.l_max):
-            lp += float(step_logprobs(seq[:t])[seq[t]])
+            lp += float(logprob_by_prefix[seq[:t]][seq[t]])
         sequences.append(seq)
         logps.append(lp)
     probs = np.exp(np.array(logps))

@@ -258,6 +258,42 @@ def test_matmul_finite_diff():
     assert report.passed, str(report)
 
 
+@pytest.mark.parametrize("b_dims", [(4, 2), (3, 4, 2)], ids=["shared", "per-row"])
+def test_rowwise_matmul_finite_diff(b_dims):
+    gen = rng.stream(44, "fd-rowwise-matmul")
+    tape = GradientTape()
+    a = tape.leaf("a", gen.normal(size=(3, 4)))
+    b = tape.leaf("b", gen.normal(size=b_dims))
+    ad.sum_reduce(ad.sigmoid(ad.rowwise_matmul(a, b)))
+    params = NamedParams({"a": a.data, "b": b.data})
+    report = ad.finite_diff_check(tape, params, step=1e-5, tolerance=1e-5)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("b_dims", [(64, 9), (5, 64, 9)], ids=["shared", "per-row"])
+def test_rowwise_matmul_rows_equal_one_row_matmul(b_dims):
+    gen = rng.stream(45, "rowwise-matmul-rows")
+    tape = GradientTape()
+    a = tape.constant(gen.normal(size=(5, 64)))
+    b = tape.constant(gen.normal(size=b_dims))
+    out = ad.rowwise_matmul(a, b)
+    for i in range(5):
+        b_i = b.data if len(b_dims) == 2 else b.data[i]
+        one = ad.matmul(tape.constant(a.data[i:i + 1]), tape.constant(b_i))
+        assert np.array_equal(out.data[i:i + 1], one.data)
+
+
+def test_rowwise_matmul_shape_errors():
+    tape = GradientTape()
+    a = tape.constant(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="rowwise_matmul"):
+        ad.rowwise_matmul(a, tape.constant(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="rowwise_matmul"):
+        ad.rowwise_matmul(a, tape.constant(np.zeros((2, 4, 2))))
+    with pytest.raises(ShapeError, match="rowwise_matmul"):
+        ad.rowwise_matmul(tape.constant(np.zeros(4)), tape.constant(np.zeros((4, 2))))
+
+
 def test_finite_diff_requires_scalar():
     tape = GradientTape()
     x = tape.leaf("x", np.ones(2))

@@ -105,6 +105,38 @@ def test_cli_eval_honours_reward_weights(capsys, workdir):
     assert half["mean_reward"] != default["mean_reward"]
 
 
+@pytest.mark.parametrize("scenes", ["0", "-3"])
+def test_cli_eval_refuses_non_positive_scene_count(capsys, workdir, scenes):
+    base, cfg = workdir
+    captured = run_cli(capsys, ["eval", "--workdir", base, "--config", cfg,
+                                "--set", "train.mode=grpo", "--scenes", scenes], expect=2)
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert any("--scenes" in p for p in err["problems"])
+
+
+def test_cli_eval_streams_chunks_like_a_scene_list(capsys, workdir):
+    from bgrto import config, metrics, models, objectives, rng
+    from bgrto.checkpoint import load_checkpoint, split_params
+    from bgrto.env import generate_scene, grammar_for
+
+    base, cfg = workdir
+    count = models.DECODE_CHUNK + 1
+    report = json.loads(run_cli(capsys, ["eval", "--workdir", base, "--config", cfg,
+                                         "--set", "train.mode=grpo",
+                                         "--scenes", str(count)]).out)
+    rc = config.from_dict(TINY_CONFIG)
+    ckpt = load_checkpoint(os.path.join(base, "grpo", str(rc.seed), "selected.ckpt"))
+    grammar = grammar_for(rc.env)
+    scenes = [generate_scene(rng.derive_seed(rc.seed, "eval-scene", i), rc.domain, rc.env)
+              for i in range(count)]
+    policy = split_params(ckpt.params, "policy/")
+    prompts = [next(models.greedy_prompts(policy, [scene], grammar)) for scene in scenes]
+    expected = metrics.evaluate(split_params(ckpt.params, "tool/"), scenes, prompts,
+                                objectives.scoring_for(rc.train, "grpo"))
+    assert report == expected.to_json_dict()
+
+
 def test_cli_bootstrapped_mode_requires_buffer(capsys, workdir, tmp_path):
     import shutil
 

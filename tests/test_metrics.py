@@ -1,5 +1,7 @@
 """gIoU/cIoU evaluation and the metrics CSV sink."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -80,11 +82,27 @@ def test_evaluate_cached_prompts_match_fresh_decoding():
     cached = list(greedy_prompts(policy, scenes, GRAMMAR))
     for seed in (7, 8):
         tool = models.tool_init(seed, CFG, ToolConfig(hidden=5, embed_dim=3))
-        fresh = [parse_action_tokens(models.greedy_decode(policy, scene, GRAMMAR), GRAMMAR)
+        fresh = [parse_action_tokens(models.greedy_decode(policy, [scene], GRAMMAR)[0], GRAMMAR)
                  for scene in scenes]
         assert evaluate(tool, scenes, cached, Scoring()) == evaluate(tool, scenes, fresh, Scoring())
     with pytest.raises(ValueError):
         evaluate(tool, scenes, cached[:-1], Scoring())
+
+
+def test_evaluate_generator_of_scenes_matches_list():
+    policy = models.policy_init(6, CFG, GRAMMAR, PolicyConfig(hidden=8))
+    tool = models.tool_init(7, CFG, ToolConfig(hidden=5, embed_dim=3))
+    seeds = [rng.derive_seed(5, "streamed", i) for i in range(models.DECODE_CHUNK + 3)]
+    scenes = [generate_scene(seed, "target", CFG) for seed in seeds]
+    listed = evaluate(tool, scenes, list(greedy_prompts(policy, scenes, GRAMMAR)), Scoring())
+    streamed_scenes, decode_scenes = itertools.tee(
+        generate_scene(seed, "target", CFG) for seed in seeds
+    )
+    streamed = evaluate(tool, streamed_scenes, greedy_prompts(policy, decode_scenes, GRAMMAR),
+                        Scoring())
+    assert streamed == listed
+    with pytest.raises(MetricsUsageError):
+        evaluate(tool, iter([]), iter([]), Scoring())
 
 
 def test_evaluate_equal_unions_make_metrics_agree():

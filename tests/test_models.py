@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgrto import autodiff as ad
 from bgrto import env, models, objectives, rng
@@ -109,10 +111,60 @@ def test_sampling_reproducible_with_same_streams():
 def test_low_temperature_matches_greedy():
     scene = generate_scene(6, "target", SMALL_CFG)
     params = models.policy_init(9, SMALL_CFG, SMALL_GRAMMAR, SMALL_POLICY_CFG)
-    greedy = models.greedy_decode(params, scene, SMALL_GRAMMAR)
+    greedy = models.greedy_decode(params, [scene], SMALL_GRAMMAR)[0]
     rngs = [rng.stream(2, "cold", i) for i in range(4)]
     for seq in models.policy_sample(params, scene, 4, 1e-4, rngs, SMALL_GRAMMAR):
         assert seq.tokens == greedy
+
+
+MICRO_CFG = EnvConfig(width=6, height=6, colors=4, min_objects=2, max_objects=3,
+                      min_side=3, max_side=3, small_area_threshold=9, grammar="micro")
+STEP_CONFIGS = [(SMALL_CFG, SMALL_GRAMMAR), (MICRO_CFG, micro_grammar(MICRO_CFG)), (CFG, GRAMMAR)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_step_rows_equal_one_row_steps(data):
+    cfg, grammar = data.draw(st.sampled_from(STEP_CONFIGS))
+    params = models.policy_init(0, cfg, grammar, PolicyConfig(hidden=data.draw(st.integers(1, 16))))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([0.1, 1.0, 5.0]))
+    params = NamedParams((name, gen.normal(scale=scale, size=arr.shape)) for name, arr in params.items())
+    rows = data.draw(st.integers(1, 12))
+    step = data.draw(st.integers(0, grammar.l_max - 1))
+    scenes = [generate_scene(data.draw(st.integers(0, 10**6)), "target", cfg) for _ in range(rows)]
+    prefixes = [[int(gen.integers(size)) for size in grammar.step_sizes[:step]] for _ in range(rows)]
+    batched = models.policy_step_logprob_rows(params, scenes, grammar, prefixes, step)
+    assert batched.shape == (rows, grammar.step_sizes[step])
+    for scene, prefix, row in zip(scenes, prefixes, batched):
+        assert np.array_equal(row, models.policy_step_logprobs(params, scene, grammar, prefix, step))
+        # the one-row path that sampling, reference log-probs and training take
+        tokens = prefix + [int(np.argmax(row))] + [0] * (grammar.l_max - step - 1)
+        lp = models.policy_logprobs(params, scene, tokens, grammar)[step]
+        assert lp == row[tokens[step]]
+
+
+@pytest.mark.parametrize("count", [1, models.DECODE_CHUNK - 1, models.DECODE_CHUNK,
+                                   models.DECODE_CHUNK + 1])
+def test_greedy_prompts_match_per_scene_decoding(count, monkeypatch):
+    params = models.policy_init(9, SMALL_CFG, SMALL_GRAMMAR, SMALL_POLICY_CFG)
+    params = NamedParams((name, arr + 0.3) for name, arr in params.items())  # nonzero biases
+    scenes = [generate_scene(rng.derive_seed(5, "greedy", i), "target", SMALL_CFG)
+              for i in range(count)]
+    expected = [env.parse_action_tokens(models.greedy_decode(params, [scene], SMALL_GRAMMAR)[0],
+                                        SMALL_GRAMMAR) for scene in scenes]
+    chunks = []
+    decode = models.greedy_decode
+
+    def counting_decode(params, chunk, grammar):
+        chunks.append(len(chunk))
+        return decode(params, chunk, grammar)
+
+    monkeypatch.setattr(models, "greedy_decode", counting_decode)
+    assert list(models.greedy_prompts(params, iter(scenes), SMALL_GRAMMAR)) == expected
+    assert sum(chunks) == count
+    assert len(chunks) == -(-count // models.DECODE_CHUNK)
+    assert max(chunks) <= models.DECODE_CHUNK
 
 
 def test_micro_uniform_sampling_histogram():
