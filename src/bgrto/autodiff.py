@@ -7,9 +7,15 @@ leaf values (`forward`) and differentiated (`backward`) any number of times
 without hidden accumulation state.
 
 Shape discipline is deliberately strict: elementwise primitives require equal
-dims, and the only broadcasting is explicit leading-axis expansion via
-:func:`broadcast`.  This keeps every gradient rule auditable against central
-finite differences, which :func:`finite_diff_check` automates.
+dims.  The only broadcasting is in :func:`add`, whose second operand may take
+a trailing suffix of the first's dims (a bias); its gradient sums the leading
+axes.  This keeps every gradient rule auditable against central finite
+differences, which :func:`finite_diff_check` automates.
+
+Each node records whether it `requires` a gradient: leaves do, constants and
+`stop_gradient` outputs do not, and any other node does when one of its
+parents does.  Backward computes and accumulates gradients only for nodes that
+require one.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class ShapeError(EngineError):
 
 
 class DomainError(EngineError):
-    """Input outside a primitive's numerical domain (log/exp/div)."""
+    """Input outside a primitive's numerical domain (exp/div)."""
 
 
 class StateError(EngineError):
@@ -98,14 +104,6 @@ class NamedParams:
             for (_, a), (_, b) in zip(self.items(), other.items())
         )
 
-    def allclose(self, other: "NamedParams", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(
-            np.allclose(a, b, atol=atol, rtol=rtol)
-            for (_, a), (_, b) in zip(self.items(), other.items())
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}:{tuple(v.shape)}" for k, v in self.items())
         return f"NamedParams({inner})"
@@ -114,9 +112,9 @@ class NamedParams:
 class Tensor:
     """One node of the computation graph: a float64 array plus its provenance."""
 
-    __slots__ = ("data", "op", "parents", "attrs", "grad", "grad_shared", "name", "tape")
+    __slots__ = ("data", "op", "parents", "attrs", "grad", "grad_shared", "name", "tape", "requires")
 
-    def __init__(self, tape, data, op=None, parents=(), attrs=None, name=None):
+    def __init__(self, tape, data, op=None, parents=(), attrs=None, name=None, requires=False):
         self.tape = tape
         self.data = data
         self.op = op
@@ -125,15 +123,11 @@ class Tensor:
         self.grad = None
         self.grad_shared = False
         self.name = name
+        self.requires = requires
 
     @property
     def dims(self) -> tuple:
         return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self.data.reshape(-1)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -151,7 +145,6 @@ class GradientTape:
     def __init__(self):
         self._ops: list[Tensor] = []
         self._leaves: dict[str, Tensor] = {}
-        self._constants: list[Tensor] = []
         self.cache: dict = {}  # model-level node memoization, scoped to this tape
 
     def leaf(self, name: str, values) -> Tensor:
@@ -161,7 +154,7 @@ class GradientTape:
         arr = np.asarray(values, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = arr.copy(order="C")
-        t = Tensor(self, arr, name=name)
+        t = Tensor(self, arr, name=name, requires=True)
         self._leaves[name] = t
         return t
 
@@ -169,10 +162,7 @@ class GradientTape:
         return {name: self.leaf(prefix + name, arr) for name, arr in params.items()}
 
     def constant(self, values) -> Tensor:
-        arr = np.asarray(values, dtype=np.float64)
-        t = Tensor(self, arr)
-        self._constants.append(t)
-        return t
+        return Tensor(self, np.asarray(values, dtype=np.float64))
 
     @property
     def result(self) -> Tensor | None:
@@ -278,29 +268,14 @@ def _fw_sum(n):
     return np.asarray(n.parents[0].data.sum(), dtype=np.float64)
 
 
-def _fw_mean(n):
-    return np.asarray(n.parents[0].data.mean(), dtype=np.float64)
-
-
 def _fw_exp(n):
     x = n.parents[0].data
     _check_exp_domain("exp", x)
     return np.exp(x)
 
 
-def _fw_log(n):
-    x = n.parents[0].data
-    if x.size and float(np.min(x)) <= 0.0:
-        raise DomainError("log: non-positive input")
-    return np.log(x)
-
-
 def _fw_sigmoid(n):
     return _sigmoid(n.parents[0].data)
-
-
-def _fw_softplus(n):
-    return _softplus(n.parents[0].data)
 
 
 def _fw_relu(n):
@@ -319,11 +294,6 @@ def _fw_bce_with_logits(n):
 
 def _fw_gather(n):
     return n.parents[0].data[n.attrs["indices"]]
-
-
-def _fw_broadcast(n):
-    # a read-only view: downstream ops never mutate operand buffers
-    return np.broadcast_to(n.parents[0].data, n.attrs["dims"])
 
 
 def _fw_maximum(n):
@@ -351,16 +321,12 @@ _FORWARD = {
     "matmul": _fw_matmul,
     "rowwise_matmul": _fw_rowwise_matmul,
     "sum_reduce": _fw_sum,
-    "mean_reduce": _fw_mean,
     "exp": _fw_exp,
-    "log": _fw_log,
     "sigmoid": _fw_sigmoid,
-    "softplus": _fw_softplus,
     "relu": _fw_relu,
     "log_softmax": _fw_log_softmax,
     "bce_with_logits": _fw_bce_with_logits,
     "gather": _fw_gather,
-    "broadcast": _fw_broadcast,
     "maximum": _fw_maximum,
     "clamp": _fw_clamp,
     "reshape": _fw_reshape,
@@ -374,12 +340,14 @@ _FORWARD = {
 
 
 def _acc(parent: Tensor, grad: np.ndarray, own: bool = True) -> None:
-    """Accumulate into parent.grad.
+    """Accumulate into parent.grad, unless the parent requires no gradient.
 
     `own` marks gradients freshly allocated by the caller; those are adopted
     without a copy.  Shared buffers (views or another node's grad) are never
     mutated in place.
     """
+    if not parent.requires:
+        return
     if parent.grad is None:
         parent.grad = grad
         parent.grad_shared = not own
@@ -391,8 +359,13 @@ def _acc(parent: Tensor, grad: np.ndarray, own: bool = True) -> None:
 
 
 def _bw_add(n, g):
-    _acc(n.parents[0], g, own=False)
-    _acc(n.parents[1], g, own=False)
+    a, b = n.parents
+    _acc(a, g, own=False)
+    lead = g.ndim - b.data.ndim
+    if lead:
+        _acc(b, g.sum(axis=tuple(range(lead))))  # a suffix operand takes the leading axes' sum
+    else:
+        _acc(b, g, own=False)
 
 
 def _bw_sub(n, g):
@@ -417,8 +390,10 @@ def _bw_neg(n, g):
 
 def _bw_matmul(n, g):
     a, b = n.parents
-    _acc(a, g @ b.data.T)
-    _acc(b, a.data.T @ g)
+    if a.requires:
+        _acc(a, g @ b.data.T)
+    if b.requires:
+        _acc(b, a.data.T @ g)
 
 
 def _bw_rowwise_matmul(n, g):
@@ -426,33 +401,22 @@ def _bw_rowwise_matmul(n, g):
     if b.data.ndim == 2:
         _bw_matmul(n, g)  # a.T @ g sums the rows' outer products into the shared matrix
     else:
-        _acc(a, np.matmul(g[:, None, :], b.data.transpose(0, 2, 1))[:, 0, :])
-        _acc(b, a.data[:, :, None] * g[:, None, :])
+        if a.requires:
+            _acc(a, np.matmul(g[:, None, :], b.data.transpose(0, 2, 1))[:, 0, :])
+        if b.requires:
+            _acc(b, a.data[:, :, None] * g[:, None, :])
 
 
 def _bw_sum(n, g):
     _acc(n.parents[0], np.full(n.parents[0].data.shape, float(g), dtype=np.float64))
 
 
-def _bw_mean(n, g):
-    p = n.parents[0]
-    _acc(p, np.full(p.data.shape, float(g) / p.data.size, dtype=np.float64))
-
-
 def _bw_exp(n, g):
     _acc(n.parents[0], g * n.data)
 
 
-def _bw_log(n, g):
-    _acc(n.parents[0], g / n.parents[0].data)
-
-
 def _bw_sigmoid(n, g):
     _acc(n.parents[0], g * n.data * (1.0 - n.data))
-
-
-def _bw_softplus(n, g):
-    _acc(n.parents[0], g * _sigmoid(n.parents[0].data))
 
 
 def _bw_relu(n, g):
@@ -475,15 +439,6 @@ def _bw_gather(n, g):
     out = np.zeros(p.data.shape, dtype=np.float64)
     np.add.at(out, n.attrs["indices"], g)
     _acc(p, out)
-
-
-def _bw_broadcast(n, g):
-    p = n.parents[0]
-    lead = len(n.attrs["dims"]) - len(p.data.shape)
-    if lead:
-        _acc(p, g.sum(axis=tuple(range(lead))))
-    else:
-        _acc(p, g, own=False)
 
 
 def _bw_maximum(n, g):
@@ -512,26 +467,23 @@ _BACKWARD = {
     "matmul": _bw_matmul,
     "rowwise_matmul": _bw_rowwise_matmul,
     "sum_reduce": _bw_sum,
-    "mean_reduce": _bw_mean,
     "exp": _bw_exp,
-    "log": _bw_log,
     "sigmoid": _bw_sigmoid,
-    "softplus": _bw_softplus,
     "relu": _bw_relu,
     "log_softmax": _bw_log_softmax,
     "bce_with_logits": _bw_bce_with_logits,
     "gather": _bw_gather,
-    "broadcast": _bw_broadcast,
     "maximum": _bw_maximum,
     "clamp": _bw_clamp,
     "reshape": _bw_reshape,
-    # stop_gradient intentionally absent: it contributes nothing upstream
+    # stop_gradient absent: its output requires no gradient, so backward never reaches it
 }
 
 
 def _make(op: str, parents: tuple, attrs=None) -> Tensor:
     tape = parents[0].tape
-    node = Tensor(tape, None, op=op, parents=parents, attrs=attrs)
+    requires = parents[0].requires or parents[-1].requires  # one or two parents
+    node = Tensor(tape, None, op=op, parents=parents, attrs=attrs, requires=requires)
     node.data = _FORWARD[op](node)
     return tape._record(node)
 
@@ -542,8 +494,10 @@ def _make(op: str, parents: tuple, attrs=None) -> Tensor:
 
 
 def add(a, b) -> Tensor:
+    """Elementwise sum; `b` may also take dims that are a trailing suffix of `a`'s."""
     _, a, b = _binary_args(a, b)
-    _require_same_dims("add", a, b)
+    if len(b.dims) > len(a.dims) or a.dims[len(a.dims) - len(b.dims):] != b.dims:
+        raise ShapeError(f"add: dims {b.dims} are not a suffix of {a.dims}")
     return _make("add", (a, b))
 
 
@@ -601,24 +555,12 @@ def sum_reduce(a: Tensor) -> Tensor:
     return _make("sum_reduce", (a,))
 
 
-def mean_reduce(a: Tensor) -> Tensor:
-    return _make("mean_reduce", (a,))
-
-
 def exp(a: Tensor) -> Tensor:
     return _make("exp", (a,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _make("log", (a,))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     return _make("sigmoid", (a,))
-
-
-def softplus(a: Tensor) -> Tensor:
-    return _make("softplus", (a,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -652,14 +594,6 @@ def gather(a: Tensor, indices) -> Tensor:
     return _make("gather", (a,), {"indices": idx.copy()})
 
 
-def broadcast(a: Tensor, dims) -> Tensor:
-    """Expand by prepending axes; the trailing dims must match exactly."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < len(a.dims) or dims[len(dims) - len(a.dims):] != a.dims:
-        raise ShapeError(f"broadcast: {a.dims} is not a suffix of {dims}")
-    return _make("broadcast", (a,), {"dims": dims})
-
-
 def maximum(a, b) -> Tensor:
     _, a, b = _binary_args(a, b)
     _require_same_dims("maximum", a, b)
@@ -681,7 +615,9 @@ def reshape(a: Tensor, dims) -> Tensor:
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity on values; contributes zero gradient to all ancestors."""
-    return _make("stop_gradient", (a,))
+    node = _make("stop_gradient", (a,))
+    node.requires = False
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +667,10 @@ def backward(tape: GradientTape, seed_output=None) -> NamedParams:
     for leaf in tape._leaves.values():
         leaf.grad = None
         leaf.grad_shared = False
-    for const in tape._constants:
-        const.grad = None
-        const.grad_shared = False
-    result.grad = seed.copy()
+    if result.requires:
+        result.grad = seed.copy()
     for node in reversed(tape._ops):
-        if node.grad is None or node.op == "stop_gradient":
+        if node.grad is None:
             continue
         _BACKWARD[node.op](node, node.grad)
     grads = NamedParams()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import itertools
 import json
 import os
@@ -39,7 +40,13 @@ from .models import WarmupFailure
 from .objectives import ObjectiveUsageError
 from .oracle import OracleError, run_oracle_checks
 from .rollout import BufferFormatError, build_replay_buffer
-from .schedules import PrerequisiteError, ScheduleUsageError, prerequisite_paths, run_mode
+from .schedules import (
+    PrerequisiteError,
+    ScheduleUsageError,
+    _require,
+    prerequisite_paths,
+    run_mode,
+)
 
 
 class WorkdirLockError(RuntimeError):
@@ -47,26 +54,37 @@ class WorkdirLockError(RuntimeError):
 
 
 class WorkdirLock:
-    """O_EXCL lock file so only one command mutates a workdir at a time."""
+    """An flock on `<workdir>/.lock`, so only one command mutates a workdir at a time.
+
+    The kernel releases the lock when its holder dies, so a killed command
+    leaves no stale lock.  A clean exit unlinks the file while holding the
+    lock, so a command that locked the unlinked file retries on a fresh one.
+    """
 
     def __init__(self, workdir: str):
         self.path = os.path.join(workdir, ".lock")
         self._fd = None
 
     def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkdirLockError(
-                f"workdir is locked by another command (remove {self.path} if stale)"
-            ) from None
-        os.write(self._fd, str(os.getpid()).encode("ascii"))
-        return self
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd = fd
+                    return self
+            except BlockingIOError:
+                os.close(fd)
+                raise WorkdirLockError(f"workdir is locked by another command ({self.path})") from None
+            except FileNotFoundError:
+                pass  # unlinked by a holder that has since exited
+            os.close(fd)
 
     def __exit__(self, *exc):
         if self._fd is not None:
-            os.close(self._fd)
             os.unlink(self.path)
+            os.close(self._fd)
+            self._fd = None
 
 
 def _load_config(args) -> RunConfig:
@@ -148,10 +166,7 @@ def _cmd_build_buffer(args) -> int:
     rc = _load_config(args)
     workdir = _resolve_workdir(args, rc)
     paths = prerequisite_paths(rc, workdir)
-    if not os.path.exists(paths["policy0"]):
-        raise PrerequisiteError(
-            f"warmed-up policy not found at {paths['policy0']}; produce it with `bgrto warmup-policy` first"
-        )
+    _require(paths["policy0"], "warmed-up policy", "warmup-policy")
     with WorkdirLock(workdir):
         ckpt = load_checkpoint(paths["policy0"], expected_compat_hash=compat_hash(rc))
         policy0 = split_params(ckpt.params, "policy/")
@@ -211,11 +226,8 @@ def _cmd_eval(args) -> int:
     ckpt_path = args.checkpoint or os.path.join(
         workdir, rc.train.mode, str(rc.seed), "selected.ckpt"
     )
-    if not os.path.exists(ckpt_path):
-        raise PrerequisiteError(
-            f"checkpoint not found at {ckpt_path}; produce it with `bgrto train` first"
-        )
-    ckpt = load_checkpoint(ckpt_path, expected_compat_hash=compat_hash(rc))
+    ckpt = load_checkpoint(_require(ckpt_path, "checkpoint", "train"),
+                           expected_compat_hash=compat_hash(rc))
     policy = split_params(ckpt.params, "policy/")
     tool = split_params(ckpt.params, "tool/")
     if not len(policy) or not len(tool):

@@ -118,19 +118,17 @@ def _step_logits_nodes(
     b2 = tape.leaf("policy/trunk/b2", params["policy/trunk/b2"])
     hw = tape.leaf(f"policy/head{step}/w", params[f"policy/head{step}/w"])
     hb = tape.leaf(f"policy/head{step}/b", params[f"policy/head{step}/b"])
-    rows = len(scenes)
-    hidden = b1.dims[0]
     pre = _obs_hidden_node(tape, params, scenes)
     if step > 0:
         w1_prefix = tape.leaf("policy/trunk/w1_prefix", params["policy/trunk/w1_prefix"])
         offsets = _prefix_offsets(grammar)
         picks = [offsets[t] + int(tokens[t]) for tokens in prefixes for t in range(step)]
-        picked = ad.reshape(ad.gather(w1_prefix, picks), (rows, step, hidden))
-        ones = tape.constant(np.ones((rows, step)))
+        picked = ad.reshape(ad.gather(w1_prefix, picks), (len(scenes), step, w1_prefix.dims[1]))
+        ones = tape.constant(np.ones((len(scenes), step)))
         pre = ad.add(pre, ad.rowwise_matmul(ones, picked))
-    h1 = ad.relu(ad.add(pre, ad.broadcast(b1, (rows, hidden))))
-    h2 = ad.relu(ad.add(ad.rowwise_matmul(h1, w2), ad.broadcast(b2, (rows, hidden))))
-    return ad.add(ad.rowwise_matmul(h2, hw), ad.broadcast(hb, (rows, hb.dims[0])))
+    h1 = ad.relu(ad.add(pre, b1))
+    h2 = ad.relu(ad.add(ad.rowwise_matmul(h1, w2), b2))
+    return ad.add(ad.rowwise_matmul(h2, hw), hb)
 
 
 def _one_row_logits_nodes(
@@ -152,13 +150,6 @@ def policy_step_logprob_rows(
     """(M, vocab) log-probabilities of one step for M scenes and their emitted prefixes."""
     tape = GradientTape()
     return ad.log_softmax(_step_logits_nodes(tape, params, scenes, prefixes, step, grammar)).data
-
-
-def policy_step_logprobs(
-    params: NamedParams, scene: GridScene, grammar: ActionGrammar, tokens, step: int
-) -> np.ndarray:
-    """Log-probabilities over one step's vocabulary given the emitted prefix."""
-    return policy_step_logprob_rows(params, [scene], grammar, [tokens], step)[0]
 
 
 def policy_logprob_nodes(
@@ -386,14 +377,12 @@ def tool_forward_nodes(
     embed = tape.leaf("tool/embed", params["tool/embed"])
     hidden = b1.dims[0]
     cell_path = _tool_cell_path_node(tape, params, scene)
-    cells = cell_path.dims[0]
     row = ad.gather(embed, [concept_index(prompt.color, prompt.size)])
     emb_h = ad.reshape(ad.matmul(row, w_emb), (hidden,))
     concept_bias = ad.add(emb_h, b1)  # fold the concept shift into the bias once
-    pre1 = ad.add(cell_path, ad.broadcast(concept_bias, (cells, hidden)))
-    h1 = ad.relu(pre1)
-    h2 = ad.relu(ad.add(ad.matmul(h1, w2), ad.broadcast(b2, (cells, hidden))))
-    logit = ad.add(ad.matmul(h2, w3), ad.broadcast(b3, (cells, 1)))
+    h1 = ad.relu(ad.add(cell_path, concept_bias))
+    h2 = ad.relu(ad.add(ad.matmul(h1, w2), b2))
+    logit = ad.add(ad.matmul(h2, w3), b3)
     return ad.reshape(logit, (scene.height, scene.width))
 
 

@@ -198,11 +198,6 @@ def prompt_seg_losses(
     return losses, logits
 
 
-def seg_loss(logits: np.ndarray, gt: np.ndarray) -> float:
-    tape = GradientTape()
-    return seg_loss_nodes(tape.constant(logits), gt).item()
-
-
 # ---------------------------------------------------------------------------
 # group statistics
 # ---------------------------------------------------------------------------
@@ -260,10 +255,17 @@ def kl_estimate_nodes(lp_cur: list[Tensor], lp_ref: np.ndarray, l_max: int) -> T
 
 
 def kl_estimate(lp_current, lp_ref, l_max: int) -> float:
-    """Value-level wrapper over the same estimator."""
-    tape = GradientTape()
-    nodes = [tape.constant(np.float64(v)) for v in np.asarray(lp_current, dtype=np.float64)]
-    return kl_estimate_nodes(nodes, np.asarray(lp_ref, dtype=np.float64), l_max).item()
+    """The same estimator on plain values, bit-equal to `kl_estimate_nodes`.
+
+    `np.cumsum` adds the per-token terms left to right, as the tape does;
+    `np.sum` would add them pairwise.
+    """
+    cur = np.asarray(lp_current, dtype=np.float64)
+    ref = np.asarray(lp_ref, dtype=np.float64)
+    if cur.shape != ref.shape:
+        raise ObjectiveUsageError("kl_estimate: per-token lists differ in length")
+    d = ref - cur
+    return float(np.cumsum(np.exp(d) - d - 1.0)[-1] * (1.0 / l_max))
 
 
 def grpo_objective_nodes(

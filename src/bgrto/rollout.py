@@ -80,27 +80,29 @@ def sample_group(
     temperature: float = 1.0,
 ) -> Group:
     """Sample G rollouts on one scene, score them, and fill group advantages."""
-    seqs = models.policy_sample(policy, scene, group_size, temperature, rngs, grammar)
-    prompts = [parse_action_tokens(seq.tokens, grammar) for seq in seqs]
-    _, rewards = objectives.compute_reward(tool, scene, prompts, scoring)
-    rollouts = [
-        Rollout(
-            tokens=seq.tokens,
-            lp_old=seq.logprobs,
-            lp_ref=models.policy_logprobs(policy_ref, scene, seq.tokens, grammar),
-            valid=prompt is not None,
-            prompt=prompt,
-            reward=reward,
+    group = _sample_unscored_group(policy, policy_ref, scene, group_size, rngs, grammar, temperature)
+    _, rewards = objectives.compute_reward(tool, scene, [r.prompt for r in group.rollouts], scoring)
+    for rollout, reward in zip(group.rollouts, rewards):
+        rollout.reward = reward
+    group.advantages = objectives.compute_advantages([r.total for r in rewards])
+    return group
+
+
+def _sample_unscored_group(policy, policy_ref, scene, group_size, rngs, grammar, temperature):
+    """G rollouts of `policy` on one scene with their prompts and reference log-probs."""
+    rollouts = []
+    for seq in models.policy_sample(policy, scene, group_size, temperature, rngs, grammar):
+        prompt = parse_action_tokens(seq.tokens, grammar)
+        rollouts.append(
+            Rollout(
+                tokens=seq.tokens,
+                lp_old=seq.logprobs,
+                lp_ref=models.policy_logprobs(policy_ref, scene, seq.tokens, grammar),
+                valid=prompt is not None,
+                prompt=prompt,
+            )
         )
-        for seq, prompt, reward in zip(seqs, prompts, rewards)
-    ]
-    advantages = objectives.compute_advantages([r.total for r in rewards])
-    return Group(
-        scene_seed=scene.seed,
-        domain=scene.domain,
-        rollouts=rollouts,
-        advantages=advantages,
-    )
+    return Group(scene_seed=scene.seed, domain=scene.domain, rollouts=rollouts)
 
 
 def build_replay_buffer(
@@ -129,21 +131,10 @@ def build_replay_buffer(
             scene = generate_scene(scene_seed, domain, cfg)
             group_index = pass_idx * len(scene_seeds) + scene_idx
             rngs = rollout_streams(run_seed, group_index, group_size)
-            seqs = models.policy_sample(policy_ref, scene, group_size, temperature, rngs, grammar)
-            rollouts = []
-            for seq in seqs:
-                prompt = parse_action_tokens(seq.tokens, grammar)
-                lp_ref = models.policy_logprobs(policy_ref, scene, seq.tokens, grammar)
-                rollouts.append(
-                    Rollout(
-                        tokens=seq.tokens,
-                        lp_old=seq.logprobs,
-                        lp_ref=lp_ref,
-                        valid=prompt is not None,
-                        prompt=prompt,
-                    )
-                )
-            groups.append(Group(scene_seed=scene.seed, domain=domain, rollouts=rollouts))
+            groups.append(
+                _sample_unscored_group(policy_ref, policy_ref, scene, group_size, rngs, grammar,
+                                       temperature)
+            )
     buffer = ReplayBuffer(
         version=BUFFER_VERSION,
         policy_ckpt=policy_ckpt_id,

@@ -593,6 +593,7 @@ def _reverse_tool_stage(
             prompts = list(models.greedy_prompts(policy_best, [scene], grammar))
             if prompts[0] is None:
                 continue
+            step_t0 = _now_ms()
             tape = GradientTape()
             (loss,), _ = objectives.prompt_seg_losses(tape, tool, scene, prompts, scene.official_gt)
             tool, opt_tool, norm = models.descent_step(
@@ -608,7 +609,7 @@ def _reverse_tool_stage(
                 kl=0.0,
                 grad_norm_policy=0.0,
                 grad_norm_tool=norm,
-                wall_ms=0.0,
+                wall_ms=0.0 if rc.metrics.deterministic_timing else _now_ms() - step_t0,
                 seed=rc.seed,
             )
             step += 1

@@ -125,12 +125,6 @@ def test_dimension_mismatch_names_primitive():
         ad.matmul(tape.constant(np.zeros((2, 2))), tape.constant(np.zeros((3, 2))))
 
 
-def test_log_domain_error():
-    tape = GradientTape()
-    with pytest.raises(DomainError, match="log"):
-        ad.log(tape.constant(np.array([1.0, -1.0])))
-
-
 def test_exp_overflow_domain_error():
     tape = GradientTape()
     with pytest.raises(DomainError, match="exp"):
@@ -144,21 +138,36 @@ def test_backward_before_any_op_is_state_error():
         ad.backward(tape)
 
 
-def test_broadcast_leading_axis_only():
+def test_add_suffix_operand_only():
     tape = GradientTape()
-    t = tape.constant(np.arange(3.0))
-    out = ad.broadcast(t, (4, 3))
+    out = ad.add(tape.constant(np.zeros((4, 3))), tape.constant(np.arange(3.0)))
     assert out.dims == (4, 3)
-    with pytest.raises(ShapeError):
-        ad.broadcast(tape.constant(np.zeros((1, 3))), (4, 3))
+    for big, small in [((4, 3), (1, 3)), ((4, 3), (4,)), ((3,), (4, 3))]:
+        with pytest.raises(ShapeError, match="add"):
+            ad.add(tape.constant(np.zeros(big)), tape.constant(np.zeros(small)))
 
 
-def test_broadcast_gradient_sums_leading_axes():
+def test_add_suffix_gradient_sums_leading_axes():
     tape = GradientTape()
     x = tape.leaf("x", np.array([1.0, 2.0]))
-    ad.sum_reduce(ad.broadcast(x, (5, 2)))
+    ad.sum_reduce(ad.add(tape.constant(np.zeros((5, 2))), x))
     grads = ad.backward(tape)
     assert np.array_equal(grads["x"], np.full(2, 5.0))
+
+
+@pytest.mark.parametrize("dims,b_dims", [((7, 4), (7, 4)), ((7, 4), (4,)), ((3, 7, 4), (7, 4)),
+                                         ((2, 3, 7, 4), (4,))])
+def test_add_suffix_equals_broadcast_then_add(dims, b_dims):
+    # bit-equal to expanding the operand first: forward values and operand gradient
+    gen = rng.stream(46, "add-suffix", len(dims), len(b_dims))
+    a_vals, b_vals, seed = gen.normal(size=dims), gen.normal(size=b_dims), gen.normal(size=dims)
+    tape = GradientTape()
+    ad.add(tape.leaf("a", a_vals), tape.leaf("b", b_vals))
+    grads = ad.backward(tape, seed)
+    assert np.array_equal(tape.result.data, a_vals + np.broadcast_to(b_vals, dims))
+    lead = tuple(range(len(dims) - len(b_dims)))
+    assert np.array_equal(grads["b"], seed.sum(axis=lead) if lead else seed)
+    assert np.array_equal(grads["a"], seed)
 
 
 def test_gather_rows_and_entries():
@@ -203,17 +212,20 @@ def test_quadratic_bowl_finite_diff():
     "build",
     [
         lambda t, x: ad.sum_reduce(ad.exp(ad.mul(x, 0.3))),
-        lambda t, x: ad.sum_reduce(ad.log(ad.add(ad.mul(x, x), 1.0))),
         lambda t, x: ad.sum_reduce(ad.sigmoid(x)),
-        lambda t, x: ad.sum_reduce(ad.softplus(x)),
         lambda t, x: ad.sum_reduce(ad.relu(ad.sub(x, 0.1))),
         lambda t, x: ad.sum_reduce(ad.log_softmax(x)),
-        lambda t, x: ad.mean_reduce(ad.div(x, ad.add(ad.mul(x, x), 2.0))),
+        lambda t, x: ad.sum_reduce(ad.div(x, ad.add(ad.mul(x, x), 2.0))),
         lambda t, x: ad.sum_reduce(ad.maximum(x, ad.mul(x, -1.0))),
         lambda t, x: ad.sum_reduce(ad.clamp(x, -0.5, 0.5)),
         lambda t, x: ad.sum_reduce(ad.gather(x, [3, 1, 1])),
-        lambda t, x: ad.sum_reduce(ad.mul(ad.broadcast(x, (3, 5)), ad.broadcast(x, (3, 5)))),
+        lambda t, x: ad.sum_reduce(ad.mul(ad.add(t.constant(np.ones((3, 5))), x),
+                                          ad.add(t.constant(np.ones((3, 5))), x))),
         lambda t, x: ad.sum_reduce(ad.reshape(ad.mul(x, x), (5, 1))),
+        # suffix add where both operands carry the leaf, and a two-axis lead
+        lambda t, x: ad.sum_reduce(ad.sigmoid(ad.add(ad.reshape(ad.gather(x, [4, 2, 0] * 5),
+                                                                (3, 5)), x))),
+        lambda t, x: ad.sum_reduce(ad.sigmoid(ad.add(t.constant(np.ones((2, 4, 5))), x))),
     ],
 )
 def test_primitive_finite_diff(build):

@@ -1,7 +1,11 @@
 """CLI pipeline: command dispatch, artifacts, prerequisites, and error surfaces."""
 
+import csv
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +162,16 @@ def test_cli_train_all_bootstrapped_modes(capsys, workdir):
         assert os.path.exists(json.loads(out)["selected"])
 
 
+def test_cli_reverse_seq_tool_rows_honour_timing_flag(capsys, workdir):
+    base, cfg = workdir
+    out = run_cli(capsys, ["train", "--mode", "reverse_seq", "--workdir", base, "--config", cfg,
+                           "--set", "metrics.deterministic_timing=false"]).out
+    with open(json.loads(out)["metrics_csv"], encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    tool_rows = [row for row in rows if row["mode"] == "reverse_seq_tool"]
+    assert tool_rows and any(float(row["wall_ms"]) > 0.0 for row in tool_rows)
+
+
 def test_cli_train_does_not_mutate_inputs(capsys, workdir):
     import hashlib
 
@@ -189,15 +203,40 @@ def test_cli_eval_missing_checkpoint(capsys, workdir, tmp_path):
 
 def test_cli_lock_prevents_concurrent_writers(capsys, workdir):
     base, cfg = workdir
-    lock_path = os.path.join(base, ".lock")
-    with open(lock_path, "w", encoding="utf-8") as fh:
-        fh.write("12345")
-    try:
+    with cli.WorkdirLock(base):
         captured = run_cli(capsys, ["pretrain-tool", "--workdir", base, "--config", cfg],
                            expect=7)
         assert json.loads(captured.err)["error"] == "locked"
+    assert not os.path.exists(os.path.join(base, ".lock"))
+
+
+def test_cli_lock_of_a_killed_command_is_released(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    holder = (
+        "import sys, time\n"
+        "from bgrto.cli import WorkdirLock\n"
+        "with WorkdirLock(sys.argv[1]):\n"
+        "    print('held', flush=True)\n"
+        "    time.sleep(120)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen([sys.executable, "-c", holder, str(tmp_path)],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert child.stdout.readline().strip() == "held"
+        args = ["pretrain-tool", "--workdir", str(tmp_path), "--config", str(cfg)]
+        run_cli(capsys, args, expect=7)
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
     finally:
-        os.unlink(lock_path)
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert os.path.exists(tmp_path / ".lock")  # the killed holder could not clean up
+    run_cli(capsys, args)
+    assert os.path.exists(tmp_path / "tool0.ckpt")
 
 
 def test_cli_workdir_from_environment(capsys, workdir, monkeypatch):

@@ -61,7 +61,7 @@ def test_step_probabilities_normalize():
     params = models.policy_init(3, SMALL_CFG, SMALL_GRAMMAR, SMALL_POLICY_CFG)
     prefix = env.correct_tokens(scene, SMALL_GRAMMAR)
     for step, size in enumerate(SMALL_GRAMMAR.step_sizes):
-        lps = models.policy_step_logprobs(params, scene, SMALL_GRAMMAR, prefix, step)
+        lps = models.policy_step_logprob_rows(params, [scene], SMALL_GRAMMAR, [prefix], step)[0]
         assert lps.shape == (size,)
         assert np.all(lps <= 0.0)
         assert abs(np.exp(lps).sum() - 1.0) < 1e-12
@@ -137,7 +137,8 @@ def test_batched_step_rows_equal_one_row_steps(data):
     batched = models.policy_step_logprob_rows(params, scenes, grammar, prefixes, step)
     assert batched.shape == (rows, grammar.step_sizes[step])
     for scene, prefix, row in zip(scenes, prefixes, batched):
-        assert np.array_equal(row, models.policy_step_logprobs(params, scene, grammar, prefix, step))
+        one_row = models.policy_step_logprob_rows(params, [scene], grammar, [prefix], step)[0]
+        assert np.array_equal(row, one_row)
         # the one-row path that sampling, reference log-probs and training take
         tokens = prefix + [int(np.argmax(row))] + [0] * (grammar.l_max - step - 1)
         lp = models.policy_logprobs(params, scene, tokens, grammar)[step]

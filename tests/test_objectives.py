@@ -9,7 +9,7 @@ from bgrto import autodiff as ad
 from bgrto import env, models, objectives, rng
 from bgrto.autodiff import GradientTape, NamedParams
 from bgrto.env import EnvConfig, ToolPrompt, generate_scene, standard_grammar
-from bgrto.models import ToolConfig
+from bgrto.models import PolicyConfig, ToolConfig
 from bgrto.objectives import (
     ObjectiveUsageError,
     Scoring,
@@ -22,7 +22,6 @@ from bgrto.objectives import (
     kl_estimate,
     kl_estimate_nodes,
     mask_iou,
-    seg_loss,
     seg_loss_nodes,
     spatial_filter,
 )
@@ -40,6 +39,11 @@ def constant_logit_tool(cfg, value=50.0):
     zeroed = NamedParams((name, np.zeros_like(arr)) for name, arr in params.items())
     zeroed["tool/b3"] = np.array([value])
     return zeroed
+
+
+def seg_loss(logits, gt):
+    """The seg loss of fixed logits: `seg_loss_nodes` on a constant."""
+    return seg_loss_nodes(GradientTape().constant(logits), gt).item()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,19 @@ def test_kl_nonnegative_random():
         assert kl_estimate(cur, ref, 5) >= 0.0
 
 
+def test_kl_value_equals_tape_estimate_bitwise():
+    gen = rng.stream(11, "kl-tape")
+    for trial in range(300):
+        length = int(gen.integers(1, 12))
+        scale = [0.01, 1.0, 10.0][trial % 3]
+        cur = -gen.random(length) * scale
+        ref = -gen.random(length) * scale
+        tape = GradientTape()
+        nodes = [tape.constant(np.float64(v)) for v in cur]
+        expected = kl_estimate_nodes(nodes, ref, length + trial % 4).item()
+        assert kl_estimate(cur, ref, length + trial % 4) == expected
+
+
 def test_kl_differentiable_and_checks():
     gen = rng.stream(10, "klfd")
     tape = GradientTape()
@@ -453,6 +470,29 @@ def test_grto_tool_term_zero_policy_gradient():
     grads = ad.backward(tape)
     assert np.array_equal(grads["lp"], np.zeros(2))
     assert any(np.any(arr != 0.0) for name, arr in grads.items() if name.startswith("tool/"))
+
+
+def test_backward_leaves_constants_without_gradient():
+    # one joint tape: policy steps, a tool forward, its seg loss and the detached ratios
+    scene, tool, prompt = small_tool_setup(5)
+    policy = models.policy_init(5, SMALL_CFG, SMALL_GRAMMAR, PolicyConfig(hidden=8))
+    tape = GradientTape()
+    lp = models.policy_logprob_nodes(tape, policy, scene, env.correct_tokens(scene, SMALL_GRAMMAR),
+                                     SMALL_GRAMMAR)
+    old = np.array([node.item() for node in lp]) - 0.1
+    loss = seg_loss_nodes(models.tool_forward_nodes(tape, tool, scene, prompt), scene.official_gt)
+    objective = grpo_objective_nodes([lp, lp], [old, old], [old, old], np.array([1.0, -1.0]),
+                                     0.1, 0.2, SMALL_GRAMMAR.l_max)
+    ad.sub(objective, grto_tool_term_nodes(tape, [lp, lp], [old, old], [loss, None]))
+    grads = ad.backward(tape)
+    parents = {id(p): p for node in tape._ops for p in node.parents}.values()
+    constants = [p for p in parents if p.op is None and p.name is None]
+    assert len(constants) > 10 and not any(c.requires or c.grad is not None for c in constants)
+    assert all(node.grad is None for node in tape._ops if not node.requires)
+    # stop_gradient still blocks: the ratio it detaches receives nothing
+    detached = [node for node in tape._ops if node.op == "stop_gradient"]
+    assert detached and all(n.grad is None and n.parents[0].grad is None for n in detached)
+    assert all(np.any(grads[name] != 0.0) for name in ("policy/trunk/w1_obs", "tool/w_cell"))
 
 
 def test_grto_tool_term_finite_diff_wrt_tool():

@@ -98,6 +98,20 @@ def make_buffer(policy, scenes=8, group_size=4, passes=1, run_seed=0):
     )
 
 
+def test_buffer_rollouts_equal_sample_group_rollouts(setup):
+    policy, tool, _scene = setup
+    seeds = [5, 9, 13]
+    buffer = build_replay_buffer(policy, seeds, "target", 4, 7, CFG, GRAMMAR, "p", passes=2)
+    for index, group in enumerate(buffer.groups):
+        scene = generate_scene(seeds[index % len(seeds)], "target", CFG)
+        sampled = sample_group(policy, policy, tool, scene, 4, rollout_streams(7, index, 4),
+                               GRAMMAR, Scoring())
+        assert (group.scene_seed, group.domain) == (sampled.scene_seed, sampled.domain)
+        for a, b in zip(group.rollouts, sampled.rollouts):
+            assert (a.tokens, a.valid, a.prompt) == (b.tokens, b.valid, b.prompt)
+            assert np.array_equal(a.lp_old, b.lp_old) and np.array_equal(a.lp_ref, b.lp_ref)
+
+
 def test_buffer_counts(setup):
     policy, _tool, _scene = setup
     buffer = make_buffer(policy, scenes=8, group_size=4)
