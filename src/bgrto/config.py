@@ -81,7 +81,6 @@ class WarmupSection:
 @dataclass(frozen=True)
 class ValidationSection:
     scenes: int = 24
-    metric: str = "mean_giou_ciou"
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,6 @@ def _constraints(cfg: RunConfig) -> list[str]:
         problems.append(f"warmup.noise must lie in [0, 1], got {cfg.warmup.noise}")
     if cfg.validation.scenes < 1:
         problems.append("validation.scenes must be positive")
-    if cfg.validation.metric != "mean_giou_ciou":
-        problems.append(f"validation.metric must be 'mean_giou_ciou', got {cfg.validation.metric!r}")
     return problems
 
 

@@ -42,10 +42,6 @@ class EvalReport:
     mean_reward: float
     validity_rate: float
 
-    @staticmethod
-    def empty() -> "EvalReport":
-        return EvalReport(per_sample_iou=[], giou=0.0, ciou=0.0, mean_reward=0.0, validity_rate=0.0)
-
     def to_json_dict(self) -> dict:
         return {
             "giou": self.giou,
@@ -109,11 +105,29 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
-class MetricsWriter:
-    """Append-only CSV sink: header once, 17-significant-digit floats, LF endings."""
+@dataclass
+class StepStats:
+    """What one optimizer step reports; terms a step does not have stay 0.0."""
 
-    def __init__(self, path: str):
+    policy_obj: float = 0.0
+    tool_loss: float = 0.0
+    kl: float = 0.0
+    grad_norm_policy: float = 0.0
+    grad_norm_tool: float = 0.0
+
+
+class MetricsWriter:
+    """Append-only CSV sink: header once, 17-significant-digit floats, LF endings.
+
+    Every row carries the run's `seed`.  An untimed writer (`timed=False`, as
+    runs use unless `metrics.deterministic_timing` is off) writes 0.0 for
+    `wall_ms`, so reruns stay byte-identical.
+    """
+
+    def __init__(self, path: str, seed: int, timed: bool):
         self.path = path
+        self.seed = seed
+        self.timed = timed
         self._fh: io.TextIOBase = open(path, "w", encoding="utf-8", newline="\n")
         self._fh.write(",".join(CSV_COLUMNS) + "\n")
 
@@ -123,13 +137,8 @@ class MetricsWriter:
         epoch: int,
         mode: str,
         report: EvalReport,
-        policy_obj: float,
-        tool_loss: float,
-        kl: float,
-        grad_norm_policy: float,
-        grad_norm_tool: float,
+        stats: StepStats,
         wall_ms: float,
-        seed: int,
     ) -> None:
         if self._fh.closed:
             raise MetricsUsageError("metrics sink is closed")
@@ -142,13 +151,13 @@ class MetricsWriter:
                 _fmt(report.validity_rate),
                 _fmt(report.giou),
                 _fmt(report.ciou),
-                _fmt(policy_obj),
-                _fmt(tool_loss),
-                _fmt(kl),
-                _fmt(grad_norm_policy),
-                _fmt(grad_norm_tool),
-                _fmt(wall_ms),
-                str(int(seed)),
+                _fmt(stats.policy_obj),
+                _fmt(stats.tool_loss),
+                _fmt(stats.kl),
+                _fmt(stats.grad_norm_policy),
+                _fmt(stats.grad_norm_tool),
+                _fmt(wall_ms if self.timed else 0.0),
+                str(int(self.seed)),
             ]
         )
         offset = self._fh.tell()

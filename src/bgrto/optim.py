@@ -2,8 +2,9 @@
 
 Updates are functional: `adamw_step` returns fresh parameter and state objects
 so earlier snapshots stay untouched (frozen-tool contracts compare them
-bit-exactly).  Defaults follow the constant-rate, zero-weight-decay regime used
-throughout the training schedules.
+bit-exactly).  The moment decays and epsilon are the fixed constants below, and
+there is no weight decay: every training schedule runs this one regime at a
+constant learning rate.
 """
 
 from __future__ import annotations
@@ -20,37 +21,30 @@ class GradientError(RuntimeError):
     """A non-finite gradient reached the optimizer."""
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     m: NamedParams
     v: NamedParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
-def adamw_init(
-    params: NamedParams,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> OptimizerState:
+def adamw_init(params: NamedParams) -> OptimizerState:
     zeros = NamedParams((name, np.zeros_like(arr)) for name, arr in params.items())
-    return OptimizerState(
-        m=zeros, v=zeros.copy(), step=0, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay
-    )
+    return OptimizerState(m=zeros, v=zeros.copy(), step=0)
 
 
 def adamw_step(
     params: NamedParams, grads: NamedParams, state: OptimizerState, lr: float
 ) -> tuple[NamedParams, OptimizerState]:
-    """One decoupled-weight-decay Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update; returns (new params, new state)."""
     step = state.step + 1
-    bc1 = 1.0 - state.beta1**step
-    bc2 = 1.0 - state.beta2**step
+    bc1 = 1.0 - BETA1**step
+    bc2 = 1.0 - BETA2**step
     new_params = NamedParams()
     new_m = NamedParams()
     new_v = NamedParams()
@@ -58,25 +52,13 @@ def adamw_step(
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for parameter {name!r}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        new = p - lr * update
-        if state.weight_decay:
-            new = new - lr * state.weight_decay * p
-        new_params[name] = new
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        new_params[name] = p - lr * update
         new_m[name] = m
         new_v[name] = v
-    new_state = OptimizerState(
-        m=new_m,
-        v=new_v,
-        step=step,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        weight_decay=state.weight_decay,
-    )
-    return new_params, new_state
+    return new_params, OptimizerState(m=new_m, v=new_v, step=step)
 
 
 def global_norm(grads: NamedParams) -> float:

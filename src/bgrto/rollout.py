@@ -26,7 +26,7 @@ from .env import (
     generate_scene,
     parse_action_tokens,
 )
-from .objectives import AdvantageSet, BtoWeights, RewardBreakdown, Scoring
+from .objectives import AdvantageSet, RewardBreakdown, Scoring
 
 BUFFER_VERSION = 1
 
@@ -51,7 +51,6 @@ class Group:
     domain: str
     rollouts: list[Rollout]
     advantages: AdvantageSet | None = None
-    bto: BtoWeights | None = None
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Training schedules: GRPO, GRTO, the bootstrap stage, and the ablation modes.
 
-Every schedule performs exactly one optimizer step per sampled group (so the
-sampling policy and the updated policy coincide at update time, and all token
-ratios equal one), validates once per epoch with greedy decoding, and selects
-the checkpoint with peak validation metric (ties resolve to the earliest
-epoch).  Policy and tool own separate optimizer states, learning rates, and
-global-norm clipping.
+One train step, `train_step_grto`, serves every policy-driven mode.  GRPO is
+that step with the tool frozen (`opt_tool=None`): it records no tool term and
+leaves the tool bit-identical.  Every schedule performs exactly one optimizer
+step per sampled group (so the sampling policy and the updated policy coincide
+at update time, and all token ratios equal one), validates once per epoch with
+greedy decoding, and selects the checkpoint with peak validation metric (ties
+resolve to the earliest epoch) through `select_best_checkpoint`.  Policy and
+tool own separate optimizer states, learning rates, and global-norm clipping.
+Each stage times its own optimizer steps for the metrics CSV.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .checkpoint import (
 )
 from .config import BOOTSTRAPPED_MODES, RunConfig, compat_hash
 from .env import env_config_hash, generate_scene, grammar_for, parse_action_tokens
-from .metrics import EvalReport, MetricsWriter
+from .metrics import EvalReport, MetricsWriter, StepStats
 from .optim import OptimizerState, adamw_init
 from .rollout import Group, ReplayBuffer, load_buffer, sample_group
 
@@ -61,15 +64,6 @@ def select_best_checkpoint(records: list[CheckpointRecord]) -> CheckpointRecord:
         if record.metric > best.metric:
             best = record
     return best
-
-
-@dataclass
-class StepStats:
-    policy_obj: float = 0.0
-    tool_loss: float = 0.0
-    kl: float = 0.0
-    grad_norm_policy: float = 0.0
-    grad_norm_tool: float = 0.0
 
 
 def _now_ms() -> float:
@@ -118,77 +112,59 @@ def _group_seg_losses(tape, tool, scene, group: Group):
     )
 
 
-def train_step_grpo(
-    batch: list[tuple[object, Group]],
-    policy: NamedParams,
-    opt_policy: OptimizerState,
-    tc,
-    grammar,
-) -> tuple[NamedParams, OptimizerState, StepStats]:
-    """One ascent step of the clipped group objective; the tool is untouched."""
-    tape = GradientTape()
-    total = None
-    kl_values = []
-    for scene, group in batch:
-        _, objective, kl_value = _policy_objective(tape, policy, scene, group, tc, grammar)
-        kl_values.append(kl_value)
-        total = objective if total is None else ad.add(total, objective)
-    total = ad.mul(total, 1.0 / len(batch))
-    stats = StepStats(policy_obj=total.item(), kl=float(np.mean(kl_values)))
-    ad.neg(total)  # the tape's result: backward then yields descent gradients
-    policy, opt_policy, stats.grad_norm_policy = models.descent_step(
-        policy, ad.backward(tape), opt_policy, tc.lr_policy, tc.grad_clip_norm
-    )
-    return policy, opt_policy, stats
-
-
 def train_step_grto(
     batch: list[tuple[object, Group]],
     policy: NamedParams,
     tool: NamedParams,
     opt_policy: OptimizerState,
-    opt_tool: OptimizerState,
+    opt_tool: OptimizerState | None,
     tc,
     grammar,
     lr_tool: float,
-) -> tuple[NamedParams, NamedParams, OptimizerState, OptimizerState, StepStats]:
+) -> tuple[NamedParams, NamedParams, OptimizerState, OptimizerState | None, StepStats]:
     """Simultaneous policy and tool updates from one sampled batch.
 
     The policy sees the clipped surrogate (rewards were computed under the
     pre-step tool); the tool sees the detached-ratio weighted segmentation
-    loss.  Gradients cannot cross the stop_gradient boundary.
+    loss.  Gradients cannot cross the stop_gradient boundary.  With
+    `opt_tool=None` the tool is frozen: the step records no tool leaves, seg
+    losses or tool term, which is plain GRPO, and returns `tool` unchanged.
     """
+    train_tool = opt_tool is not None
     tape = GradientTape()
-    tape.leaves(tool)  # all-invalid batches still need zero tool gradients
+    if train_tool:
+        tape.leaves(tool)  # all-invalid batches still need zero tool gradients
     total = None
     kl_values = []
     tool_loss_values = []
     for scene, group in batch:
-        lp_cur, objective, kl_value = _policy_objective(tape, policy, scene, group, tc, grammar)
+        lp_cur, joint, kl_value = _policy_objective(tape, policy, scene, group, tc, grammar)
         kl_values.append(kl_value)
-        seg_losses, _ = _group_seg_losses(tape, tool, scene, group)
-        tool_term = objectives.grto_tool_term_nodes(
-            tape, lp_cur, [r.lp_old for r in group.rollouts], seg_losses
-        )
-        tool_loss_values.append(tool_term.item())
-        joint = ad.sub(objective, tool_term)
+        if train_tool:
+            seg_losses, _ = _group_seg_losses(tape, tool, scene, group)
+            tool_term = objectives.grto_tool_term_nodes(
+                tape, lp_cur, [r.lp_old for r in group.rollouts], seg_losses
+            )
+            tool_loss_values.append(tool_term.item())
+            joint = ad.sub(joint, tool_term)
         total = joint if total is None else ad.add(total, joint)
     total = ad.mul(total, 1.0 / len(batch))
     stats = StepStats(
         policy_obj=total.item(),
-        tool_loss=float(np.mean(tool_loss_values)),
+        tool_loss=float(np.mean(tool_loss_values)) if train_tool else 0.0,
         kl=float(np.mean(kl_values)),
     )
     ad.neg(total)  # the tape's result: backward then yields descent gradients
     grads = ad.backward(tape)
-    if tc.debug_checks:
+    if train_tool and tc.debug_checks:
         _debug_separation_checks(batch, policy, tool, tc, grammar)
     policy, opt_policy, stats.grad_norm_policy = models.descent_step(
         policy, grads, opt_policy, tc.lr_policy, tc.grad_clip_norm
     )
-    tool, opt_tool, stats.grad_norm_tool = models.descent_step(
-        tool, grads, opt_tool, lr_tool, tc.grad_clip_norm
-    )
+    if train_tool:
+        tool, opt_tool, stats.grad_norm_tool = models.descent_step(
+            tool, grads, opt_tool, lr_tool, tc.grad_clip_norm
+        )
     return policy, tool, opt_policy, opt_tool, stats
 
 
@@ -284,12 +260,12 @@ def run_bto_stage(
     tool = tool0
     report = metricsmod.evaluate(tool, val_scenes, val_prompts, scoring)
     records = [CheckpointRecord(epoch=0, metric=report.mean_reward, report=report)]
-    best_tool = tool
-    best_metric = report.mean_reward
+    tools = [tool]
     opt_tool = adamw_init(tool)
     step = step_offset
     for epoch in range(1, rc.bto.epochs + 1):
         for g_idx, (scene, group) in enumerate(materialized):
+            step_t0 = _now_ms()
             tape = GradientTape()
             tape.leaves(tool)  # all-invalid groups still need zero tool gradients
             seg_losses, logits = _group_seg_losses(tape, tool, scene, group)
@@ -305,28 +281,18 @@ def run_bto_stage(
                 tool, ad.backward(tape), opt_tool, tc.lr_tool, tc.grad_clip_norm
             )
             if writer is not None:
-                writer.emit_row(
-                    step=step,
-                    epoch=epoch,
-                    mode="bto",
-                    report=report,
-                    policy_obj=0.0,
-                    tool_loss=loss.item(),
-                    kl=0.0,
-                    grad_norm_policy=0.0,
-                    grad_norm_tool=norm,
-                    wall_ms=0.0 if rc.metrics.deterministic_timing else _now_ms() - t0,
-                    seed=rc.seed,
-                )
+                stats = StepStats(tool_loss=loss.item(), grad_norm_tool=norm)
+                writer.emit_row(step, epoch, "bto", report, stats, _now_ms() - step_t0)
             step += 1
         report = metricsmod.evaluate(tool, val_scenes, val_prompts, scoring)
         records.append(CheckpointRecord(epoch=epoch, metric=report.mean_reward, report=report))
-        if report.mean_reward > best_metric:
-            best_metric = report.mean_reward
-            best_tool = tool
+        tools.append(tool)
         if writer is not None:
             writer.flush()
-    return BtoStageResult(tool=best_tool, records=records, wall_ms=_now_ms() - t0, steps=step - step_offset)
+    best = select_best_checkpoint(records)
+    return BtoStageResult(
+        tool=tools[best.epoch], records=records, wall_ms=_now_ms() - t0, steps=step - step_offset
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +414,10 @@ def _main_loop(
             if len(batch) < tc.groups_per_step and index + 1 < tc.scenes_per_epoch:
                 continue
             step_t0 = _now_ms()
-            if train_tool:
-                policy, tool, opt_policy, opt_tool, stats = train_step_grto(
-                    batch, policy, tool, opt_policy, opt_tool, tc, grammar, lr_tool
-                )
-            else:
-                policy, opt_policy, stats = train_step_grpo(batch, policy, opt_policy, tc, grammar)
-            writer.emit_row(
-                step=step,
-                epoch=epoch,
-                mode=mode,
-                report=report,
-                policy_obj=stats.policy_obj,
-                tool_loss=stats.tool_loss,
-                kl=stats.kl,
-                grad_norm_policy=stats.grad_norm_policy,
-                grad_norm_tool=stats.grad_norm_tool,
-                wall_ms=0.0 if rc.metrics.deterministic_timing else _now_ms() - step_t0,
-                seed=rc.seed,
+            policy, tool, opt_policy, opt_tool, stats = train_step_grto(
+                batch, policy, tool, opt_policy, opt_tool, tc, grammar, lr_tool
             )
+            writer.emit_row(step, epoch, mode, report, stats, _now_ms() - step_t0)
             step += 1
             batch = []
         path = _save_epoch(mode_dir, "epoch", epoch, policy, tool, rc, mode)
@@ -501,7 +452,7 @@ def run_mode(rc: RunConfig, workdir: str) -> RunResult:
     bto_records = None
     bto_wall = None
     tool_records = None
-    with MetricsWriter(metrics_path) as writer:
+    with MetricsWriter(metrics_path, rc.seed, not rc.metrics.deterministic_timing) as writer:
         step_offset = 0
         tool_start = tool0
         lr_tool = rc.train.lr_tool
@@ -599,19 +550,8 @@ def _reverse_tool_stage(
             tool, opt_tool, norm = models.descent_step(
                 tool, ad.backward(tape), opt_tool, tc.lr_tool, tc.grad_clip_norm
             )
-            writer.emit_row(
-                step=step,
-                epoch=epoch,
-                mode="reverse_seq_tool",
-                report=report,
-                policy_obj=0.0,
-                tool_loss=loss.item(),
-                kl=0.0,
-                grad_norm_policy=0.0,
-                grad_norm_tool=norm,
-                wall_ms=0.0 if rc.metrics.deterministic_timing else _now_ms() - step_t0,
-                seed=rc.seed,
-            )
+            stats = StepStats(tool_loss=loss.item(), grad_norm_tool=norm)
+            writer.emit_row(step, epoch, "reverse_seq_tool", report, stats, _now_ms() - step_t0)
             step += 1
         path = _save_epoch(mode_dir, "toolepoch", epoch, policy_best, tool, rc, "reverse_seq")
         record, report = _validation_record(tool, val_scenes, val_prompts, scoring, epoch, path)

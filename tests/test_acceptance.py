@@ -275,7 +275,9 @@ def test_criterion_7_grpo_mechanics():
         for roll in group.rollouts:
             again = models.policy_logprobs(current, scene, roll.tokens, grammar)
             worst_ratio_dev = max(worst_ratio_dev, float(np.max(np.abs(np.exp(again - roll.lp_old) - 1.0))))
-        current, opt, _stats = schedules.train_step_grpo([(scene, group)], current, opt, tc, grammar)
+        current, _tool, opt, _opt_tool, _stats = schedules.train_step_grto(
+            [(scene, group)], current, tool, opt, None, tc, grammar, tc.lr_tool
+        )
     ratios_ok = worst_ratio_dev <= 1e-12
 
     # clip-branch tokens contribute zero policy gradient (backward + perturbation)
@@ -404,6 +406,7 @@ def ceiling_bound(seed: int) -> float:
     return float(np.mean([env.erosion_ceiling(s.objects[s.target_ids[0]].rect) for s in scenes]))
 
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_ordering(ordering_runs):
     med = {mode: statistics.median(ordering_runs[mode][s]["giou"] for s in SEEDS)
            for mode in ("grpo", "grto", "b_grto")}
@@ -419,6 +422,7 @@ def test_criterion_9_end_to_end_ordering(ordering_runs):
     assert ordering and margin and ceiling_ok and runtime_ok
 
 
+@pytest.mark.slow
 def test_criterion_10_bootstrapping_value(ordering_runs):
     med = {mode: statistics.median(ordering_runs[mode][s]["giou"] for s in SEEDS)
            for mode in ("grpo", "b_grpo", "b_grto")}
@@ -438,6 +442,7 @@ def epochs_to_reach(curve, target) -> float:
     return math.inf
 
 
+@pytest.mark.slow
 def test_criterion_11_bootstrap_convergence(ordering_runs):
     faster = 0
     for seed in SEEDS:

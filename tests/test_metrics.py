@@ -7,7 +7,14 @@ import pytest
 
 from bgrto import metrics, models, rng
 from bgrto.env import EnvConfig, generate_scene, parse_action_tokens, standard_grammar
-from bgrto.metrics import CSV_COLUMNS, EvalReport, MetricsUsageError, MetricsWriter, evaluate
+from bgrto.metrics import (
+    CSV_COLUMNS,
+    EvalReport,
+    MetricsUsageError,
+    MetricsWriter,
+    StepStats,
+    evaluate,
+)
 from bgrto.models import PolicyConfig, ToolConfig, greedy_prompts
 from bgrto.objectives import Scoring
 
@@ -121,11 +128,12 @@ def test_evaluate_empty_scene_list_rejected():
 
 def test_csv_header_and_row_shape(tmp_path):
     path = str(tmp_path / "metrics.csv")
-    with MetricsWriter(path) as writer:
+    with MetricsWriter(path, seed=7, timed=False) as writer:
         for step in range(6):
+            stats = StepStats(policy_obj=0.1, tool_loss=0.2, kl=0.0, grad_norm_policy=1.0,
+                              grad_norm_tool=0.0)
             writer.emit_row(step=step, epoch=step // 3 + 1, mode="grpo", report=fake_report(),
-                            policy_obj=0.1, tool_loss=0.2, kl=0.0, grad_norm_policy=1.0,
-                            grad_norm_tool=0.0, wall_ms=0.0, seed=7)
+                            stats=stats, wall_ms=0.0)
         writer.flush()
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -139,8 +147,8 @@ def test_csv_seventeen_digit_floats(tmp_path):
     path = str(tmp_path / "metrics.csv")
     report = EvalReport(per_sample_iou=[1 / 3], giou=1 / 3, ciou=2 / 3, mean_reward=0.1,
                         validity_rate=1.0)
-    with MetricsWriter(path) as writer:
-        writer.emit_row(0, 1, "grpo", report, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    with MetricsWriter(path, 0, False) as writer:
+        writer.emit_row(0, 1, "grpo", report, StepStats(), 0.0)
     with open(path, encoding="utf-8") as fh:
         row = fh.read().split("\n")[1].split(",")
     giou_field = row[CSV_COLUMNS.index("giou")]
@@ -150,10 +158,10 @@ def test_csv_seventeen_digit_floats(tmp_path):
 
 def test_csv_rerun_byte_identical(tmp_path):
     def write_once(path):
-        with MetricsWriter(path) as writer:
+        with MetricsWriter(path, 3, False) as writer:
             for step in range(4):
-                writer.emit_row(step, 1, "grto", fake_report(), 0.5, 0.25, 0.001,
-                                1.5, 0.5, 0.0, 3)
+                stats = StepStats(0.5, 0.25, 0.001, 1.5, 0.5)
+                writer.emit_row(step, 1, "grto", fake_report(), stats, 0.0)
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -162,17 +170,29 @@ def test_csv_rerun_byte_identical(tmp_path):
     assert a == b
 
 
+def test_csv_wall_ms_written_only_when_timed(tmp_path):
+    def wall_field(timed):
+        path = str(tmp_path / f"{timed}.csv")
+        with MetricsWriter(path, 0, timed) as writer:
+            writer.emit_row(0, 1, "grpo", fake_report(), StepStats(), 12.5)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")[1].split(",")[CSV_COLUMNS.index("wall_ms")]
+
+    assert wall_field(True) == "12.5"
+    assert wall_field(False) == "0"
+
+
 def test_csv_closed_sink_rejected(tmp_path):
-    writer = MetricsWriter(str(tmp_path / "m.csv"))
+    writer = MetricsWriter(str(tmp_path / "m.csv"), 0, False)
     writer.close()
     with pytest.raises(MetricsUsageError):
-        writer.emit_row(0, 1, "grpo", fake_report(), 0, 0, 0, 0, 0, 0, 0)
+        writer.emit_row(0, 1, "grpo", fake_report(), StepStats(), 0)
 
 
 def test_lf_line_endings(tmp_path):
     path = str(tmp_path / "m.csv")
-    with MetricsWriter(path) as writer:
-        writer.emit_row(0, 1, "grpo", fake_report(), 0, 0, 0, 0, 0, 0, 0)
+    with MetricsWriter(path, 0, False) as writer:
+        writer.emit_row(0, 1, "grpo", fake_report(), StepStats(), 0)
     with open(path, "rb") as fh:
         blob = fh.read()
     assert b"\r" not in blob

@@ -20,7 +20,6 @@ from bgrto.schedules import (
     ScheduleUsageError,
     run_bto_stage,
     select_best_checkpoint,
-    train_step_grpo,
     train_step_grto,
 )
 
@@ -79,13 +78,6 @@ def test_adamw_rejects_nonfinite():
         adamw_step(params, g, adamw_init(params), 0.1)
 
 
-def test_adamw_weight_decay_decoupled():
-    params = NamedParams({"w": np.array([2.0])})
-    state = adamw_init(params, weight_decay=0.1)
-    new, _ = adamw_step(params, NamedParams({"w": np.zeros(1)}), state, lr=0.5)
-    assert new["w"][0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
-
-
 def test_clip_below_threshold_unchanged():
     grads = NamedParams({"a": np.array([0.3, 0.4])})  # norm 0.5
     clipped = clip_global_norm(grads, 1.0)
@@ -128,9 +120,12 @@ def test_grpo_step_leaves_tool_untouched(tiny):
     snapshot = tool.copy()
     group = sample_group(policy, policy, tool, scene, 4, rollout_streams(0, 0, 4),
                          GRAMMAR, Scoring())
-    new_policy, _opt, stats = train_step_grpo([(scene, group)], policy, adamw_init(policy),
-                                              rc.train, GRAMMAR)
+    new_policy, new_tool, _opt, opt_tool, stats = train_step_grto(
+        [(scene, group)], policy, tool, adamw_init(policy), None, rc.train, GRAMMAR, lr_tool=1e-3
+    )
     assert tool == snapshot
+    assert new_tool is tool
+    assert opt_tool is None
     assert stats.grad_norm_tool == 0.0
     assert new_policy != policy or stats.grad_norm_policy == 0.0
 
@@ -148,8 +143,9 @@ def test_grpo_step_raises_positive_rollout_logprob(tiny):
     group.advantages = compute_advantages([r.reward.total for r in group.rollouts])
     target_tokens = group.rollouts[0].tokens
     before = models.policy_logprobs(policy, scene, target_tokens, GRAMMAR).sum()
-    new_policy, _opt, _stats = train_step_grpo([(scene, group)], policy, adamw_init(policy),
-                                               rc.train, GRAMMAR)
+    new_policy, _tool, _opt, _opt_tool, _stats = train_step_grto(
+        [(scene, group)], policy, tool, adamw_init(policy), None, rc.train, GRAMMAR, lr_tool=1e-3
+    )
     after = models.policy_logprobs(new_policy, scene, target_tokens, GRAMMAR).sum()
     assert after > before
 
@@ -160,7 +156,8 @@ def test_grpo_step_asserts_on_policy(tiny):
                          GRAMMAR, Scoring())
     group.rollouts[0].lp_old = group.rollouts[0].lp_old - 0.5  # fake off-policy data
     with pytest.raises(RuntimeError, match="single-step"):
-        train_step_grpo([(scene, group)], policy, adamw_init(policy), rc.train, GRAMMAR)
+        train_step_grto([(scene, group)], policy, tool, adamw_init(policy), None, rc.train,
+                        GRAMMAR, lr_tool=1e-3)
 
 
 def test_grto_step_updates_both_and_separates(tiny):
@@ -386,6 +383,19 @@ def test_metrics_row_count_contract(tiny_workdir):
         lines = [line for line in fh.read().split("\n") if line]
     steps = rc.train.epochs * (rc.train.scenes_per_epoch // rc.train.groups_per_step)
     assert len(lines) == steps + 1  # header plus one row per optimizer step
+
+
+def test_bto_rows_time_each_step(tiny_workdir):
+    import csv
+
+    data = dict(TINY, train=dict(TINY["train"], mode="b_grto"),
+                metrics={"deterministic_timing": False})
+    result = schedules.run_mode(config.from_dict(data), tiny_workdir)
+    with open(result.metrics_path, encoding="utf-8") as fh:
+        walls = [float(row["wall_ms"]) for row in csv.DictReader(fh) if row["mode"] == "bto"]
+    assert walls and all(wall > 0.0 for wall in walls)
+    # per-step times, not time since the stage began, fit inside the stage
+    assert sum(walls) <= result.bto_wall_ms
 
 
 def test_groups_per_step_accumulation(tiny_workdir):
