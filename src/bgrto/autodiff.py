@@ -21,6 +21,7 @@ require one.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +111,18 @@ class NamedParams:
 
 
 class Tensor:
-    """One node of the computation graph: a float64 array plus its provenance."""
+    """One node of the computation graph: a float64 array plus its provenance.
 
-    __slots__ = ("data", "op", "parents", "attrs", "grad", "grad_shared", "name", "tape", "requires")
+    A tensor refers to its tape weakly.  The tape holds its tensors, so a
+    strong back-reference would make a cycle that keeps every finished tape
+    and its arrays alive until the cyclic collector runs; this way a tape is
+    freed as soon as its last reference goes.
+    """
+
+    __slots__ = ("data", "op", "parents", "attrs", "grad", "grad_shared", "name", "_tape", "requires")
 
     def __init__(self, tape, data, op=None, parents=(), attrs=None, name=None, requires=False):
-        self.tape = tape
+        self._tape = tape._ref
         self.data = data
         self.op = op
         self.parents = parents
@@ -124,6 +131,14 @@ class Tensor:
         self.grad_shared = False
         self.name = name
         self.requires = requires
+
+    @property
+    def tape(self) -> "GradientTape":
+        tape = self._tape()
+        if tape is None:
+            raise UsageError("the tape of this tensor was freed; keep a reference to a tape "
+                             "while recording on it")
+        return tape
 
     @property
     def dims(self) -> tuple:
@@ -143,6 +158,7 @@ class GradientTape:
     """Ordered record of primitive operations over leaf and constant tensors."""
 
     def __init__(self):
+        self._ref = weakref.ref(self)  # shared by this tape's tensors
         self._ops: list[Tensor] = []
         self._leaves: dict[str, Tensor] = {}
         self.cache: dict = {}  # model-level node memoization, scoped to this tape
@@ -436,8 +452,13 @@ def _bw_bce_with_logits(n, g):
 
 def _bw_gather(n, g):
     p = n.parents[0]
+    idx = n.attrs["indices"]
+    if p.data.ndim == 1:
+        # adds in index order, as np.add.at does, so the bits are the same
+        _acc(p, np.bincount(idx, weights=g, minlength=p.data.shape[0]))
+        return
     out = np.zeros(p.data.shape, dtype=np.float64)
-    np.add.at(out, n.attrs["indices"], g)
+    np.add.at(out, idx, g)
     _acc(p, out)
 
 

@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", help="checkpoint path (default: the mode's selected.ckpt)")
     p_eval.add_argument("--scenes", type=int, help="number of evaluation scenes")
     p_eval.add_argument("--domain", choices=["source", "target"], help="annotation convention")
+    # the suite runs fixed micro instances: there is no config or workdir to take
     p_oracle = sub.add_parser("oracle-check", help="run the exact-enumeration oracle suite")
-    common(p_oracle)
     p_oracle.add_argument("--full", action="store_true", help="full-budget statistical checks")
     return parser
 

@@ -283,10 +283,6 @@ def _canonical(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(_canonical(to_dict(cfg)).encode("utf-8")).hexdigest()
-
-
 def compat_hash(cfg: RunConfig) -> str:
     """Hash of the sections that determine artifact compatibility."""
     core = {

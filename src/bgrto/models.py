@@ -7,6 +7,10 @@ neighborhood, the global occupancy, and a learned concept embedding, and emits
 one foreground logit.  The pooled neighborhood is what lets the tool tell
 rectangle borders from interiors, which the target annotation convention
 requires.
+
+Cells with equal features get equal logits, so the tool runs once per
+distinct feature row of a scene (about 30 of 256 cells on the default grid)
+and a gather scatters the row logits back to the grid.
 """
 
 from __future__ import annotations
@@ -281,7 +285,11 @@ def greedy_prompts(
 # tool
 # ---------------------------------------------------------------------------
 
-_FEATURE_CACHE: "weakref.WeakKeyDictionary[GridScene, np.ndarray]" = weakref.WeakKeyDictionary()
+_TOOL_ROWS: "weakref.WeakKeyDictionary[GridScene, tuple[np.ndarray, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+# Largest key that still takes one more base-10 digit within int64.
+_KEY_LIMIT = (np.iinfo(np.int64).max - 9) // 10
 
 
 def concept_count(cfg: EnvConfig) -> int:
@@ -297,38 +305,45 @@ def tool_feature_dim(cfg: EnvConfig) -> int:
     return 3 * (cfg.colors + 1)
 
 
-def render_tool_features(scene: GridScene) -> np.ndarray:
-    """Constant per-cell features: one-hot color, 3x3 pooled occupancy, global mean.
+def tool_feature_rows(scene: GridScene) -> tuple[np.ndarray, np.ndarray]:
+    """The scene's distinct per-cell feature rows (U, F) and each cell's row (cells,).
 
-    Pooling divides by 9 with zero padding, so border cells of an object (and of
-    the grid) see strictly smaller same-color mass than interior cells.
+    A cell's features are its one-hot color, its 3x3 pooled occupancy and the
+    global mean.  Pooling divides each color's count in the zero-padded 3x3
+    window by 9, so border cells of an object (and of the grid) see strictly
+    smaller same-color mass than interior cells.  The global mean is the same
+    for every cell, so a row is fixed by the cell's color and its window
+    counts; `rows[inverse]` is the full (cells, F) feature matrix.
     """
-    cached = _FEATURE_CACHE.get(scene)
+    cached = _TOOL_ROWS.get(scene)
     if cached is not None:
         return cached
+    h, w = scene.height, scene.width
     channels = scene.colors + 1
     grid = envmod.color_grid(scene)
-    occ = np.zeros((scene.height, scene.width, channels))
-    occ[np.arange(scene.height)[:, None], np.arange(scene.width)[None, :], grid] = 1.0
-    padded = np.zeros((scene.height + 2, scene.width + 2, channels))
-    padded[1:-1, 1:-1, :] = occ
-    pooled = np.zeros_like(occ)
-    for dy in range(3):
-        for dx in range(3):
-            pooled += padded[dy : dy + scene.height, dx : dx + scene.width, :]
-    pooled /= 9.0
-    global_mean = occ.mean(axis=(0, 1))
-    cells = scene.height * scene.width
-    feats = np.concatenate(
-        [
-            occ.reshape(cells, channels),
-            pooled.reshape(cells, channels),
-            np.tile(global_mean, (cells, 1)),
-        ],
-        axis=1,
-    )
-    _FEATURE_CACHE[scene] = feats
-    return feats
+    padded = np.zeros((h + 2, w + 2, channels), dtype=np.int64)
+    padded[np.arange(1, h + 1)[:, None], np.arange(1, w + 1)[None, :], grid] = 1
+    window_rows = padded[:-2] + padded[1:-1] + padded[2:]
+    counts = window_rows[:, :-2] + window_rows[:, 1:-1] + window_rows[:, 2:]
+    counts = counts.reshape(h * w, channels)
+    colors = grid.reshape(-1)
+    # An exact integer key: the color, then each count (0..9) as one more
+    # base-10 digit; the keys are ranked afresh before a digit could overflow.
+    key = colors.astype(np.int64)
+    bound = channels - 1
+    for c in range(channels):
+        if bound > _KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max())
+        key = key * 10 + counts[:, c]
+        bound = bound * 10 + 9
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.empty((len(first), 3 * channels))
+    rows[:, :channels] = np.eye(channels)[colors[first]]
+    rows[:, channels : 2 * channels] = counts[first] / 9.0
+    rows[:, 2 * channels :] = np.bincount(colors, minlength=channels) / (h * w)
+    _TOOL_ROWS[scene] = rows, inverse
+    return rows, inverse
 
 
 def tool_init(seed: int, cfg: EnvConfig, tcfg: ToolConfig) -> NamedParams:
@@ -351,13 +366,13 @@ def tool_init(seed: int, cfg: EnvConfig, tcfg: ToolConfig) -> NamedParams:
 
 
 def _tool_cell_path_node(tape: GradientTape, params: NamedParams, scene: GridScene) -> Tensor:
-    """(cells, hidden) concept-independent part, shared by every prompt on this tape."""
+    """(U, hidden) concept-independent part of the distinct rows, shared on this tape."""
     key = ("tool-cell-path", id(scene))
     node = tape.cache.get(key)
     if node is None:
-        feats = tape.constant(render_tool_features(scene))
+        rows = tape.constant(tool_feature_rows(scene)[0])
         w_cell = tape.leaf("tool/w_cell", params["tool/w_cell"])
-        node = ad.matmul(feats, w_cell)
+        node = ad.matmul(rows, w_cell)
         tape.cache[key] = node
     return node
 
@@ -365,7 +380,11 @@ def _tool_cell_path_node(tape: GradientTape, params: NamedParams, scene: GridSce
 def tool_forward_nodes(
     tape: GradientTape, params: NamedParams, scene: GridScene, prompt: ToolPrompt
 ) -> Tensor:
-    """Mask logits (H, W) for the prompt's concept, differentiable in the tool."""
+    """Mask logits (H, W) for the prompt's concept, differentiable in the tool.
+
+    The decoder runs once per distinct feature row, and one gather hands each
+    cell the logit of its row.
+    """
     if prompt is None:
         raise envmod.GrammarUsageError("tool_forward requires a valid prompt; gate on validity first")
     w_emb = tape.leaf("tool/w_emb", params["tool/w_emb"])
@@ -383,10 +402,13 @@ def tool_forward_nodes(
     h1 = ad.relu(ad.add(cell_path, concept_bias))
     h2 = ad.relu(ad.add(ad.matmul(h1, w2), b2))
     logit = ad.add(ad.matmul(h2, w3), b3)
-    return ad.reshape(logit, (scene.height, scene.width))
+    per_row = ad.reshape(logit, (logit.dims[0],))
+    per_cell = ad.gather(per_row, tool_feature_rows(scene)[1])
+    return ad.reshape(per_cell, (scene.height, scene.width))
 
 
 def tool_logits(params: NamedParams, scene: GridScene, prompt: ToolPrompt) -> np.ndarray:
+    """Value of `tool_forward_nodes`: the (H, W) mask logits."""
     tape = GradientTape()
     return tool_forward_nodes(tape, params, scene, prompt).data.copy()
 

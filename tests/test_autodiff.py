@@ -182,6 +182,26 @@ def test_gather_rows_and_entries():
     assert np.array_equal(grads["v"], np.array([0.0, 2.0, 0.0]))  # repeated index accumulates
 
 
+def test_gather_1d_backward_equals_add_at_bitwise():
+    gen = rng.stream(0, "gather-1d")
+    idx = gen.integers(0, 7, size=300)  # every entry repeats
+    tape = GradientTape()
+    vec = tape.leaf("v", gen.normal(size=7))
+    picked = ad.gather(vec, idx)
+    seed = gen.normal(size=300) * 10.0 ** gen.integers(-8, 8, size=300)
+    grads = ad.backward(tape, seed)
+    expected = np.zeros(7)
+    np.add.at(expected, idx, seed)
+    assert picked.dims == (300,)
+    assert grads["v"].tobytes() == expected.tobytes()
+
+
+def test_tensor_of_a_dropped_tape_is_refused():
+    x = GradientTape().constant(np.ones(3))  # nothing holds the tape
+    with pytest.raises(UsageError, match="freed"):
+        ad.relu(x)
+
+
 def test_clamp_gradient_zero_outside():
     tape = GradientTape()
     x = tape.leaf("x", np.array([-2.0, 0.5, 2.0]))

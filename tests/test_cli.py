@@ -262,3 +262,13 @@ def test_cli_oracle_check_emits_json_lines(capsys):
     lines = [json.loads(line) for line in captured.out.strip().split("\n")]
     assert all({"check_name", "pass", "value", "reference", "tolerance"} == set(l) for l in lines)
     assert all(l["pass"] for l in lines)
+
+
+@pytest.mark.parametrize("extra", [["--config", "/nonexistent.json"], ["--set", "no.such_key=1"],
+                                   ["--workdir", "/nonexistent"]])
+def test_cli_oracle_check_refuses_config_options(capsys, extra):
+    # the suite runs fixed micro instances, so an option it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-check", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -240,6 +240,108 @@ def test_tool_flip_covariance():
     assert np.allclose(flipped_logits, np.flip(logits, axis=1), atol=1e-12)
 
 
+def full_grid_features(scene):
+    """(cells, F) tool features of every cell, computed without deduplication."""
+    h, w = scene.height, scene.width
+    occ = np.eye(scene.colors + 1)[env.color_grid(scene)]
+    padded = np.pad(occ, ((1, 1), (1, 1), (0, 0)))
+    pooled = sum(padded[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)) / 9.0
+    mean = np.broadcast_to(occ.mean(axis=(0, 1)), occ.shape)
+    return np.concatenate([occ, pooled, mean], axis=2).reshape(h * w, -1)
+
+
+def full_grid_tool_logits(params, scene, prompt):
+    """The decoder run on all cells in plain numpy, one row per cell."""
+    concept = models.concept_index(prompt.color, prompt.size)
+    bias = params["tool/embed"][concept] @ params["tool/w_emb"] + params["tool/b1"]
+    h1 = np.maximum(full_grid_features(scene) @ params["tool/w_cell"] + bias, 0.0)
+    h2 = np.maximum(h1 @ params["tool/w2"] + params["tool/b2"], 0.0)
+    return (h2 @ params["tool/w3"] + params["tool/b3"]).reshape(scene.height, scene.width)
+
+
+def full_grid_forward_nodes(tape, params, scene, prompt):
+    """The decoder on a tape with one row per cell: the forward before deduplication."""
+    leaf = {name: tape.leaf(name, arr) for name, arr in params.items()}
+    row = ad.gather(leaf["tool/embed"], [models.concept_index(prompt.color, prompt.size)])
+    emb_h = ad.reshape(ad.matmul(row, leaf["tool/w_emb"]), (leaf["tool/b1"].dims[0],))
+    cell_path = ad.matmul(tape.constant(full_grid_features(scene)), leaf["tool/w_cell"])
+    h1 = ad.relu(ad.add(cell_path, ad.add(emb_h, leaf["tool/b1"])))
+    h2 = ad.relu(ad.add(ad.matmul(h1, leaf["tool/w2"]), leaf["tool/b2"]))
+    logit = ad.add(ad.matmul(h2, leaf["tool/w3"]), leaf["tool/b3"])
+    return ad.reshape(logit, (scene.height, scene.width))
+
+
+def random_tool(seed):
+    """Initial weights with nonzero biases, so every parameter shapes the logits."""
+    params = models.tool_init(seed, CFG, ToolConfig())
+    gen = rng.stream(seed, "test-tool-biases")
+    return NamedParams(
+        (name, arr + 0.3 * gen.normal(size=arr.shape) if "/b" in name else arr)
+        for name, arr in params.items()
+    )
+
+
+def all_concept_prompts(cfg):
+    return [ToolPrompt(color=c, size=size, boxes=((0, 0, 1, 1),))
+            for c in range(cfg.colors) for size in (env.SIZE_SMALL, env.SIZE_LARGE, None)]
+
+
+def test_tool_logits_match_full_grid_forward():
+    prompts = all_concept_prompts(CFG)
+    assert len(prompts) == models.concept_count(CFG)
+    cuts = [math.log(t / (1.0 - t)) for t in (0.3, 0.5, 0.7)]
+    for i in range(12):
+        scene = generate_scene(rng.derive_seed(5, "distinct-rows", i), "target", CFG)
+        params = random_tool(i)
+        for prompt in prompts:
+            fast = models.tool_logits(params, scene, prompt)
+            ref = full_grid_tool_logits(params, scene, prompt)
+            assert np.max(np.abs(fast - ref)) <= 1e-12
+            for cut in cuts:
+                clear = np.abs(ref - cut) > 1e-9
+                assert np.array_equal((fast > cut)[clear], (ref > cut)[clear])
+
+
+def test_tool_seg_loss_gradients_match_full_grid_tape():
+    for i in range(6):
+        scene = generate_scene(rng.derive_seed(6, "distinct-rows", i), "target", CFG)
+        params = random_tool(10 + i)
+        for prompt in (models.true_prompt(scene), all_concept_prompts(CFG)[i]):
+            fast_tape = GradientTape()
+            fast_tape.leaves(params)
+            fast = models.tool_forward_nodes(fast_tape, params, scene, prompt)
+            objectives.seg_loss_nodes(fast, scene.official_gt)
+            ref_tape = GradientTape()
+            ref = full_grid_forward_nodes(ref_tape, params, scene, prompt)
+            objectives.seg_loss_nodes(ref, scene.official_gt)
+            fast_grads, ref_grads = ad.backward(fast_tape), ad.backward(ref_tape)
+            assert fast_grads.names() == ref_grads.names() == params.names()
+            for name, g in ref_grads.items():
+                np.testing.assert_allclose(fast_grads[name], g, rtol=1e-10, err_msg=name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_distinct_rows_reproduce_cell_features(data):
+    width = data.draw(st.integers(6, 20), label="width")
+    height = data.draw(st.integers(6, 20), label="height")
+    min_side = data.draw(st.integers(3, 4), label="min_side")
+    max_side = data.draw(st.integers(min_side, min(width, height, 8)), label="max_side")
+    max_objects = data.draw(st.integers(1, 8), label="max_objects")
+    cfg = EnvConfig(
+        width=width, height=height, max_side=max_side, min_side=min_side,
+        colors=data.draw(st.one_of(st.integers(1, 8), st.integers(9, 80)), label="colors"),
+        min_objects=data.draw(st.integers(1, max_objects), label="min_objects"),
+        max_objects=max_objects,
+    )
+    scene = generate_scene(data.draw(st.integers(0, 2**31 - 1), label="seed"), "target", cfg)
+    rows, inverse = models.tool_feature_rows(scene)
+    assert rows.shape[1] == models.tool_feature_dim(cfg)
+    assert inverse.shape == (width * height,)
+    assert rows[inverse].tobytes() == full_grid_features(scene).tobytes()
+    assert len(np.unique(rows, axis=0)) == len(rows)  # each row once
+
+
 def test_descent_step_takes_own_grads_and_clips():
     from bgrto.optim import adamw_init, adamw_step, clip_global_norm, global_norm
 

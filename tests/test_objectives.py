@@ -43,7 +43,8 @@ def constant_logit_tool(cfg, value=50.0):
 
 def seg_loss(logits, gt):
     """The seg loss of fixed logits: `seg_loss_nodes` on a constant."""
-    return seg_loss_nodes(GradientTape().constant(logits), gt).item()
+    tape = GradientTape()
+    return seg_loss_nodes(tape.constant(logits), gt).item()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Optimizer, train-step, bootstrap-stage, and checkpoint-selection contracts."""
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from bgrto import config, models, optim, rng, schedules
-from bgrto.autodiff import NamedParams
+from bgrto.autodiff import GradientTape, NamedParams
 from bgrto.checkpoint import load_checkpoint, params_digest, save_checkpoint, split_params
 from bgrto.env import EnvConfig, generate_scene, scripted_demonstration, standard_grammar
 from bgrto.models import PolicyConfig, ToolConfig
@@ -267,6 +269,35 @@ def test_bto_rejects_hash_mismatch(bto_setup):
 # ---------------------------------------------------------------------------
 # checkpoint selection
 # ---------------------------------------------------------------------------
+
+
+def test_step_tapes_are_freed_without_the_cyclic_collector(tiny, bto_setup, monkeypatch):
+    # a tape and its tensors form no reference cycle, so a finished step's
+    # tape goes as soon as the step drops it, with the collector off
+    tapes = []
+    init = GradientTape.__init__
+
+    def recording_init(self):
+        init(self)
+        tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(GradientTape, "__init__", recording_init)
+    rc, policy, tool, scene = tiny
+    group = sample_group(policy, policy, tool, scene, 4, rollout_streams(6, 0, 4),
+                         GRAMMAR, Scoring())
+    rc_bto, policy_ref, tool0, buffer, val_scenes = bto_setup
+    gc.collect()
+    gc.disable()
+    try:
+        tapes.clear()
+        train_step_grto([(scene, group)], policy, tool, adamw_init(policy), adamw_init(tool),
+                        rc.train, GRAMMAR, lr_tool=1e-3)
+        assert tapes and all(ref() is None for ref in tapes)
+        tapes.clear()
+        run_bto_stage(buffer, tool0, policy_ref, rc_bto, val_scenes)
+        assert tapes and all(ref() is None for ref in tapes)
+    finally:
+        gc.enable()
 
 
 def rec(epoch, metric):
